@@ -11,43 +11,16 @@ if "MSAM_THREADS" in os.environ:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _cap)
 
-from .conv import (  # noqa: E402
-    FeatureMaps,
-    FrameVector,
-    KernelBank,
-    Signal,
-    cnn_layer_forward,
-    conv1d_backward,
-    conv1d_forward,
-    extract_frame,
-    output_map_size,
-    required_span,
-)
-from .streams import (  # noqa: E402
-    Stream,
-    StreamConfig,
-    multispan_forward,
-    single_span_forward,
-    stream_forward,
-    stream_input_span,
-)
+from .conv import KernelBank, Signal, output_map_size, required_span  # noqa: E402
+from .streams import Stream, StreamConfig, stream_input_span  # noqa: E402
 
 __all__ = [
-    "FeatureMaps",
-    "FrameVector",
     "KernelBank",
     "Signal",
     "Stream",
     "StreamConfig",
-    "cnn_layer_forward",
-    "conv1d_backward",
-    "conv1d_forward",
-    "extract_frame",
-    "multispan_forward",
     "output_map_size",
     "required_span",
-    "single_span_forward",
-    "stream_forward",
     "stream_input_span",
 ]
 

@@ -6,7 +6,7 @@ without kernel flipping (cross-correlation), which is the standard neural
 network convention.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,39 +58,6 @@ class KernelBank:
         return self.weights.shape[1]
 
 
-@dataclass
-class FeatureMaps:
-    """Output of one convolution layer: K feature maps of length M."""
-
-    maps: np.ndarray  # shape (K, M)
-
-    def __post_init__(self):
-        self.maps = np.asarray(self.maps)
-        if self.maps.ndim != 2:
-            raise ValueError("maps must be a K x M matrix")
-
-    @property
-    def map_size(self) -> int:
-        return self.maps.shape[1]
-
-    @property
-    def num_maps(self) -> int:
-        return self.maps.shape[0]
-
-
-@dataclass
-class FrameVector:
-    """All K kernel responses at one window position."""
-
-    values: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def output_map_size(num_samples: int, kernel_len: int, stride: int) -> int:
     """Number of windows of length `kernel_len` at hop `stride` in `num_samples`."""
     if kernel_len < 1 or stride < 1:
@@ -110,106 +77,44 @@ def required_span(map_size: int, stride: int, kernel_len: int) -> int:
 
 
 def sliding_windows(segment: np.ndarray, kernel_len: int, stride: int) -> np.ndarray:
-    """View of all M strided windows, shape (M, kernel_len)."""
+    """View of all M strided windows, shape (..., M, kernel_len)."""
     segment = np.asarray(segment)
     m = output_map_size(segment.shape[-1], kernel_len, stride)
     windows = np.lib.stride_tricks.sliding_window_view(segment, kernel_len, axis=-1)
     return windows[..., ::stride, :][..., :m, :]
 
 
-def conv1d_forward(segment, bank: KernelBank) -> FeatureMaps:
-    """Apply the kernel bank to one segment; returns K maps of length M."""
-    segment = np.asarray(getattr(segment, "samples", segment))
-    windows = sliding_windows(segment, bank.kernel_len, bank.stride)
-    maps = bank.weights @ windows.T + bank.biases[:, None]
-    return FeatureMaps(maps)
-
-
-def extract_frame(maps: FeatureMaps, m: int) -> FrameVector:
-    """The m-th element of every map (1-based), viewed as one frame."""
-    if not 1 <= m <= maps.map_size:
-        raise IndexError(f"frame index {m} outside 1..{maps.map_size}")
-    return FrameVector(maps.maps[:, m - 1].copy())
-
-
-def cnn_layer_forward(x, bank: KernelBank, apply_relu: bool = True) -> np.ndarray:
-    """Full layer: convolve, optionally ReLU, and flatten frame-major.
-
-    Frame-major means frame m's K values are contiguous, so a window over
-    the flat output covers a block of consecutive frames.
-    """
-    maps = conv1d_forward(x, bank).maps
-    if apply_relu:
-        maps = np.maximum(maps, 0)
-    return maps.T.reshape(-1)
-
-
-def conv1d_backward(segment, bank: KernelBank, upstream: np.ndarray):
-    """Exact gradients of conv1d_forward.
-
-    Returns (weight_grads, bias_grads, input_grads) for an upstream
-    gradient of shape (K, M).
-    """
-    segment = np.asarray(getattr(segment, "samples", segment))
-    windows = sliding_windows(segment, bank.kernel_len, bank.stride)
-    m = windows.shape[0]
-    upstream = np.asarray(upstream)
-    if upstream.shape != (bank.num_kernels, m):
-        raise GradientShapeError(
-            f"upstream gradient shape {upstream.shape} does not match "
-            f"feature maps shape {(bank.num_kernels, m)}"
-        )
-    weight_grads = upstream @ windows
-    bias_grads = upstream.sum(axis=1)
-    input_grads = np.zeros_like(segment, dtype=upstream.dtype)
-    window_grads = upstream.T @ bank.weights  # (M, L)
-    s, l = bank.stride, bank.kernel_len
-    for i in range(m):
-        input_grads[i * s : i * s + l] += window_grads[i]
-    return weight_grads, bias_grads, input_grads
-
-
-# ---------------------------------------------------------------------------
-# Batched variants used by the training path.  Leading axis is the batch.
-# ---------------------------------------------------------------------------
-
-
 def conv1d_forward_batch(segments: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """Convolve a batch of segments, shape (B, T) -> (B, K, M)."""
+    """Convolve a batch of segments, shape (B, T) -> frame-major maps (B, M, K).
+
+    Frame m's K kernel responses are contiguous, so `reshape(B, M*K)` is a
+    view and is exactly the flat input a following layer convolves.
+    """
     windows = sliding_windows(segments, bank.kernel_len, bank.stride)
-    maps = np.einsum("bml,kl->bkm", windows, bank.weights, optimize=True)
-    return maps + bank.biases[None, :, None]
+    b, m, l = windows.shape
+    maps = windows.reshape(-1, l) @ bank.weights.T + bank.biases
+    return maps.reshape(b, m, -1)
 
 
 def conv1d_backward_batch(segments: np.ndarray, bank: KernelBank, upstream: np.ndarray):
-    """Batched gradients; upstream has shape (B, K, M).
+    """Exact gradients of conv1d_forward_batch; upstream has shape (B, M, K).
 
-    Weight and bias gradients are summed over the batch; input gradients
-    keep the batch axis.
+    Returns (weight_grads, bias_grads, input_grads).  Weight and bias
+    gradients are summed over the batch; input gradients keep it, (B, T).
     """
     windows = sliding_windows(segments, bank.kernel_len, bank.stride)
-    m = windows.shape[1]
-    if upstream.shape != (segments.shape[0], bank.num_kernels, m):
+    b, m, l = windows.shape
+    if upstream.shape != (b, m, bank.num_kernels):
         raise GradientShapeError(
             f"upstream gradient shape {upstream.shape} does not match "
-            f"{(segments.shape[0], bank.num_kernels, m)}"
+            f"feature maps shape {(b, m, bank.num_kernels)}"
         )
-    weight_grads = np.einsum("bkm,bml->kl", upstream, windows, optimize=True)
-    bias_grads = upstream.sum(axis=(0, 2))
-    window_grads = np.einsum("bkm,kl->bml", upstream, bank.weights, optimize=True)
+    rows = upstream.reshape(-1, bank.num_kernels)
+    weight_grads = rows.T @ windows.reshape(-1, l)
+    bias_grads = rows.sum(axis=0)
+    window_grads = (rows @ bank.weights).reshape(b, m, l)
     input_grads = np.zeros_like(segments, dtype=upstream.dtype)
-    s, l = bank.stride, bank.kernel_len
+    s = bank.stride
     for i in range(m):
         input_grads[:, i * s : i * s + l] += window_grads[:, i]
     return weight_grads, bias_grads, input_grads
-
-
-def flatten_frame_major(maps: np.ndarray) -> np.ndarray:
-    """(..., K, M) -> (..., M*K) with each frame's K values contiguous."""
-    return np.swapaxes(maps, -1, -2).reshape(*maps.shape[:-2], -1)
-
-
-def unflatten_frame_major(flat: np.ndarray, num_kernels: int) -> np.ndarray:
-    """Inverse of flatten_frame_major: (..., M*K) -> (..., K, M)."""
-    m = flat.shape[-1] // num_kernels
-    return np.swapaxes(flat.reshape(*flat.shape[:-1], m, num_kernels), -1, -2)

@@ -4,13 +4,12 @@ corpus generator used as a desk-scale substitute for real speech data."""
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .conv import Signal
 from .errors import DegenerateInputError, FormatError
-from .streams import centered_window
 
 FRAME_SHIFT = 160  # 10 ms at 16 kHz
 
@@ -94,13 +93,11 @@ def normalize_utterance_meeting(corpus: Corpus) -> Corpus:
     for u in corpus.utterances:
         if u.meeting_id is None:
             raise FormatError(f"meeting_id: missing for utterance {u.id}")
-    centered = {
-        u.id: u.signal.samples - u.signal.samples.mean() for u in corpus.utterances
-    }
+    centered = [u.signal.samples - u.signal.samples.mean() for u in corpus.utterances]
     meeting_var = {}
     for meeting in {u.meeting_id for u in corpus.utterances}:
         pooled = np.concatenate(
-            [centered[u.id] for u in corpus.utterances if u.meeting_id == meeting]
+            [c for c, u in zip(centered, corpus.utterances) if u.meeting_id == meeting]
         )
         var = float(np.mean(pooled**2))
         if var <= 0:
@@ -109,28 +106,14 @@ def normalize_utterance_meeting(corpus: Corpus) -> Corpus:
     utterances = [
         Utterance(
             u.id,
-            Signal(centered[u.id] / np.sqrt(meeting_var[u.meeting_id]), u.signal.sample_rate),
+            Signal(c / np.sqrt(meeting_var[u.meeting_id]), u.signal.sample_rate),
             u.labels,
             u.meeting_id,
         )
-        for u in corpus.utterances
+        for c, u in zip(centered, corpus.utterances)
     ]
     return Corpus(utterances, corpus.num_classes,
                   {"scheme": "utterance_meeting", "meeting_variances": meeting_var})
-
-
-def frame_windows(utterance: Utterance, span: int) -> Iterator[Tuple[int, np.ndarray, int]]:
-    """Yield (center, window, label) per 10 ms frame; edges are zero-padded.
-
-    Frame n is centered at sample 160*n; window extraction follows the
-    stream centering rule.
-    """
-    if span < 1:
-        raise ValueError("span must be >= 1")
-    samples = utterance.signal.samples
-    for n, label in enumerate(utterance.labels):
-        center = n * FRAME_SHIFT
-        yield center, centered_window(samples, center, span), int(label)
 
 
 def class_frequency_triplet(class_index: int, sample_rate: int = 16000) -> Tuple[float, float, float]:
@@ -221,6 +204,8 @@ def load_manifest(path, num_classes: Optional[int] = None) -> Corpus:
     if num_classes is None:
         num_classes = int(max(u.labels.max() for u in utterances)) + 1
     for u in utterances:
+        if u.labels.min() < 0:
+            raise FormatError(f"labels: utterance {u.id} has a negative label")
         if u.labels.max() >= num_classes:
             raise FormatError(f"labels: utterance {u.id} has label >= {num_classes}")
     return Corpus(utterances, num_classes)

@@ -11,19 +11,12 @@ from typing import List, Sequence
 
 import numpy as np
 
-from . import streams as streams_mod
-from .conv import (
-    conv1d_backward_batch,
-    conv1d_forward_batch,
-    flatten_frame_major,
-    unflatten_frame_major,
-)
-from .errors import ValidationError
+from .conv import conv1d_backward_batch, conv1d_forward_batch
+from .errors import GeometryError, ValidationError
 from .fbank import FbankConfig, compute_fbank, stack_context
 from .network import (
     DnnHead,
     cross_entropy_batch,
-    dnn_forward,
     head_backward_batch,
     head_forward_batch,
     head_params,
@@ -32,6 +25,18 @@ from .network import (
 from .streams import Stream, StreamConfig, init_stream
 
 MODEL_KINDS = ("multi_span", "single_span", "fbank_dnn")
+
+
+def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray):
+    """Mean softmax-CE loss of a (B, D) batch, head gradients and the
+    gradient w.r.t. the features, shape (B, D)."""
+    probs, activations = head_forward_batch(head, features)
+    loss = cross_entropy_batch(probs, labels)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= len(labels)
+    grads, dfeat = head_backward_batch(head, activations, dlogits)
+    return loss, grads, dfeat
 
 
 class RawWaveformModel:
@@ -83,19 +88,23 @@ class RawWaveformModel:
         return params
 
     def features_batch(self, windows: Sequence[np.ndarray], cache=None) -> np.ndarray:
-        """Feature vectors for per-stream window batches, shape (B, feature_dim)."""
+        """Feature vectors for per-stream window batches, shape (B, feature_dim).
+
+        Per stream: conv1 -> ReLU -> conv2 -> ReLU on frame-major maps, then
+        the projection (multi-span only); the stream outputs are concatenated.
+        """
         parts = []
-        for i, (stream, w) in enumerate(zip(self.streams, windows)):
+        for stream, w in zip(self.streams, windows):
+            if w.shape[1] != stream.config.input_span:
+                raise GeometryError(
+                    f"window length {w.shape[1]} != stream span {stream.config.input_span}"
+                )
             y = np.maximum(conv1d_forward_batch(w, stream.first_layer), 0)
-            y_flat = flatten_frame_major(y)
-            o = np.maximum(conv1d_forward_batch(y_flat, stream.second_layer), 0)
-            o_flat = flatten_frame_major(o)
+            o = np.maximum(conv1d_forward_batch(y.reshape(len(w), -1), stream.second_layer), 0)
+            o = o.reshape(len(w), -1)
             if cache is not None:
-                cache.append((w, y, y_flat, o, o_flat))
-            if self.kind == "multi_span":
-                parts.append(o_flat @ stream.projection.T)
-            else:
-                parts.append(o_flat)
+                cache.append((w, y, o))
+            parts.append(o @ stream.projection.T if self.kind == "multi_span" else o)
         return np.concatenate(parts, axis=1)
 
     def forward_batch(self, windows: Sequence[np.ndarray]):
@@ -103,45 +112,28 @@ class RawWaveformModel:
         probs, _ = head_forward_batch(self.head, self.features_batch(windows))
         return probs
 
-    def forward_frame(self, waveform, center: int) -> np.ndarray:
-        """Probability vector for one frame center of a full waveform."""
-        if self.kind == "multi_span":
-            feat = streams_mod.multispan_forward(self.streams, waveform, center)
-        else:
-            feat = streams_mod.single_span_forward(self.streams[0], waveform, center)
-        return dnn_forward(feat, self.head)
-
     def loss_and_grads(self, windows: Sequence[np.ndarray], labels: np.ndarray):
         """Mean CE loss over the batch and exact gradients per parameter."""
         labels = np.asarray(labels)
         stream_cache = []
         feats = self.features_batch(windows, cache=stream_cache)
-        probs, activations = head_forward_batch(self.head, feats)
-        loss = cross_entropy_batch(probs, labels)
-        batch = len(labels)
-        dlogits = probs.copy()
-        dlogits[np.arange(batch), labels] -= 1.0
-        dlogits /= batch
-        grads, dfeat = head_backward_batch(self.head, activations, dlogits)
+        loss, grads, dfeat = head_loss_and_grads(self.head, feats, labels)
         offset = 0
-        for i, stream in enumerate(self.streams):
-            w, y, y_flat, o, o_flat = stream_cache[i]
+        for i, (stream, (w, y, o)) in enumerate(zip(self.streams, stream_cache)):
             if self.kind == "multi_span":
                 dim = stream.config.projection_dim
                 dblock = dfeat[:, offset : offset + dim]
-                grads[f"stream{i}.projection"] = dblock.T @ o_flat
-                do_flat = dblock @ stream.projection
+                grads[f"stream{i}.projection"] = dblock.T @ o
+                do = dblock @ stream.projection
             else:
                 dim = stream.config.output_dim
-                do_flat = dfeat[:, offset : offset + dim]
+                do = dfeat[:, offset : offset + dim]
             offset += dim
-            do = unflatten_frame_major(do_flat, stream.config.second_num_kernels)
-            do = do * (o > 0)
-            dw2, db2, dy_flat = conv1d_backward_batch(y_flat, stream.second_layer, do)
+            do = (do * (o > 0)).reshape(len(w), -1, stream.config.second_num_kernels)
+            dw2, db2, dy = conv1d_backward_batch(y.reshape(len(w), -1), stream.second_layer, do)
             grads[f"stream{i}.conv2.weights"] = dw2
             grads[f"stream{i}.conv2.biases"] = db2
-            dy = unflatten_frame_major(dy_flat, stream.config.first_num_kernels)
-            dy = dy * (y > 0)
+            dy = dy.reshape(y.shape) * (y > 0)
             dw1, db1, _ = conv1d_backward_batch(w, stream.first_layer, dy)
             grads[f"stream{i}.conv1.weights"] = dw1
             grads[f"stream{i}.conv1.biases"] = db1
@@ -199,13 +191,7 @@ class FbankDnnModel:
         return probs
 
     def loss_and_grads(self, features: np.ndarray, labels: np.ndarray):
-        labels = np.asarray(labels)
-        probs, activations = head_forward_batch(self.head, features)
-        loss = cross_entropy_batch(probs, labels)
-        dlogits = probs.copy()
-        dlogits[np.arange(len(labels)), labels] -= 1.0
-        dlogits /= len(labels)
-        grads, _ = head_backward_batch(self.head, activations, dlogits)
+        loss, grads, _ = head_loss_and_grads(self.head, features, np.asarray(labels))
         return loss, grads
 
     def to_config(self) -> dict:
@@ -216,16 +202,6 @@ class FbankDnnModel:
             "fbank": asdict(self.fbank_config),
             "hidden_dims": [w.shape[0] for w in self.head.hidden_weights],
         }
-
-
-def model_backward(model, inputs, labels):
-    """Gradients of the mean CE loss for a batch (or single frame).
-
-    For waveform models `inputs` is a list of per-stream window batches;
-    for the FBANK model it is a feature matrix.
-    """
-    labels = np.atleast_1d(labels)
-    return model.loss_and_grads(inputs, labels)[1]
 
 
 def build_raw_model(

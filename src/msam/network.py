@@ -76,23 +76,6 @@ def head_forward_batch(head: DnnHead, x: np.ndarray):
     return softmax(logits), activations
 
 
-def dnn_forward(x, head: DnnHead) -> np.ndarray:
-    """Class probability vector for a single input vector."""
-    x = np.asarray(x)
-    if x.shape[-1] != head.input_dim:
-        raise ValueError(f"input dim {x.shape[-1]} != head input dim {head.input_dim}")
-    probs, _ = head_forward_batch(head, np.atleast_2d(x))
-    return probs[0]
-
-
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log probability of the true class, clamped away from -inf."""
-    probs = np.asarray(probs)
-    if not 0 <= label < probs.shape[-1]:
-        raise IndexError(f"label {label} outside 0..{probs.shape[-1] - 1}")
-    return float(-np.log(max(float(probs[label]), CE_PROB_FLOOR)))
-
-
 def cross_entropy_batch(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean CE over a batch of probability rows."""
     picked = probs[np.arange(len(labels)), labels]

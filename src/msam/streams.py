@@ -1,24 +1,17 @@
-"""Multi-span front-end: per-stream two-layer CNN stacks and projections.
+"""Multi-span front-end streams: geometry, parameters and window centering.
 
 Each stream convolves a different span of the raw waveform with its own
 first layer (stride S_i, kernel length L_i), feeds the flattened result
 through a fixed-geometry second layer, and projects the output down to a
-small vector.  Concatenating the projected outputs of all streams gives
-the multi-span feature vector.
+small vector.  The stack itself runs in `RawWaveformModel.features_batch`.
 """
 
 from dataclasses import dataclass, asdict
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .conv import (
-    KernelBank,
-    conv1d_forward_batch,
-    flatten_frame_major,
-    output_map_size,
-    required_span,
-)
+from .conv import KernelBank, output_map_size, required_span
 from .errors import GeometryError
 
 
@@ -176,40 +169,3 @@ def centered_window(samples: np.ndarray, center: int, span: int) -> np.ndarray:
     if hi > lo:
         window[lo - start : hi - start] = samples[lo:hi]
     return window
-
-
-def stream_forward_batch(stream: Stream, windows: np.ndarray) -> np.ndarray:
-    """Two-layer stack on a batch of windows, shape (B, T_i) -> (B, output_dim)."""
-    if windows.shape[1] != stream.config.input_span:
-        raise GeometryError(
-            f"window length {windows.shape[1]} != stream span {stream.config.input_span}"
-        )
-    y = np.maximum(conv1d_forward_batch(windows, stream.first_layer), 0)
-    y_flat = flatten_frame_major(y)
-    o = np.maximum(conv1d_forward_batch(y_flat, stream.second_layer), 0)
-    return flatten_frame_major(o)
-
-
-def stream_forward(stream: Stream, window) -> np.ndarray:
-    """Stream output o^i for one window of exactly `input_span` samples."""
-    window = np.asarray(getattr(window, "samples", window))
-    return stream_forward_batch(stream, np.atleast_2d(window))[0]
-
-
-def multispan_forward(streams: Sequence[Stream], waveform, center: int) -> np.ndarray:
-    """Projected, concatenated multi-span feature vector at one frame center."""
-    samples = np.asarray(getattr(waveform, "samples", waveform))
-    parts = []
-    for stream in streams:
-        if stream.projection is None:
-            raise GeometryError("multi-span streams require a projection matrix")
-        window = centered_window(samples, center, stream.config.input_span)
-        parts.append(stream.projection @ stream_forward(stream, window))
-    return np.concatenate(parts)
-
-
-def single_span_forward(stream: Stream, waveform, center: int) -> np.ndarray:
-    """Single-stream output at one frame center, without projection."""
-    samples = np.asarray(getattr(waveform, "samples", waveform))
-    window = centered_window(samples, center, stream.config.input_span)
-    return stream_forward(stream, window)

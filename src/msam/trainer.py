@@ -7,12 +7,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from .dataio import FRAME_SHIFT
 from .errors import ValidationError
 from .model import FbankDnnModel
-from .network import cross_entropy_batch, init_head
-from .streams import centered_window, glorot_uniform
-
-FRAME_SHIFT = 160
+from .network import cross_entropy_batch
+from .streams import glorot_uniform
 
 PRETRAIN_STAGES = ("subnet", "extended", "full")
 
@@ -153,8 +152,11 @@ def pretrain_transition(model, schedule: PretrainSchedule):
 class FrameDataset:
     """Per-frame training view of a corpus for one model.
 
-    Waveform models see per-stream centered windows; the FBANK model sees
-    precomputed stacked feature rows.
+    Waveform models see per-stream centered windows (the `centered_window`
+    rule), gathered from one buffer in which every utterance is preceded
+    by ceil(max_span/2) zeros and the last one is followed by as many, so
+    edge windows read zeros and never a neighbouring utterance.  The FBANK
+    model sees precomputed stacked feature rows.
     """
 
     def __init__(self, model, corpus):
@@ -170,12 +172,17 @@ class FrameDataset:
         else:
             self.features = None
             self.spans = model.spans
-            self.signals = [u.signal.samples for u in corpus.utterances]
-            self.index = [
-                (ui, n * FRAME_SHIFT)
-                for ui, u in enumerate(corpus.utterances)
-                for n in range(u.num_frames)
-            ]
+            gap = (max(self.spans) + 1) // 2
+            # A slot holds the samples and any frame centers past their end.
+            slots = [max(len(u.signal), FRAME_SHIFT * u.num_frames) for u in corpus.utterances]
+            starts = gap * np.arange(1, len(slots) + 1) + np.cumsum([0] + slots[:-1])
+            self.buffer = np.zeros(starts[-1] + slots[-1] + gap, dtype=self.dtype)
+            for start, u in zip(starts, corpus.utterances):
+                self.buffer[start : start + len(u.signal)] = u.signal.samples
+            self.centers = np.concatenate([
+                start + FRAME_SHIFT * np.arange(u.num_frames)
+                for start, u in zip(starts, corpus.utterances)
+            ])
 
     def __len__(self):
         return len(self.labels)
@@ -183,14 +190,11 @@ class FrameDataset:
     def inputs(self, idxs):
         if self.features is not None:
             return self.features[idxs]
-        batches = []
-        for span in self.spans:
-            windows = np.empty((len(idxs), span), dtype=self.dtype)
-            for row, i in enumerate(idxs):
-                ui, center = self.index[i]
-                windows[row] = centered_window(self.signals[ui], center, span)
-            batches.append(windows)
-        return batches
+        centers = self.centers[idxs]
+        return [
+            np.lib.stride_tricks.sliding_window_view(self.buffer, span)[centers - (span + 1) // 2]
+            for span in self.spans
+        ]
 
 
 @dataclass

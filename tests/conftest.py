@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msam.model import build_raw_model
 from msam.streams import StreamConfig
 
 
@@ -17,6 +18,13 @@ def tiny_stream_config(stride: int, kernel_len: int = 5) -> StreamConfig:
         second_num_kernels=3,
         projection_dim=2,
     )
+
+
+def span_model(spans, dtype=np.float64):
+    """Raw-waveform model with one tiny stream per entry of `spans` (each >= 4)."""
+    kind = "single_span" if len(spans) == 1 else "multi_span"
+    configs = [tiny_stream_config(1, kernel_len=span - 3) for span in spans]
+    return build_raw_model(kind, configs, 3, hidden_dims=(), dtype=dtype)
 
 
 def randomize_biases(model, rng, scale=0.05):

@@ -11,7 +11,7 @@ import pytest
 
 from msam.analysis import effective_kernel_length, kernel_spectrum, sort_by_peak
 from msam.checkpoint import load_checkpoint, save_checkpoint
-from msam.conv import conv1d_forward, output_map_size, required_span
+from msam.conv import KernelBank, conv1d_forward_batch, output_map_size, required_span
 from msam.dataio import normalize_global, synth_corpus
 from msam.model import build_fbank_model, build_raw_model
 from msam.streams import StreamConfig, desk_scale_config
@@ -78,14 +78,14 @@ class TestAcceptance:
             t = l + int(rng.integers(0, 48))
             weights = rng.normal(size=(k, l))
             biases = rng.normal(size=k)
-            x = rng.normal(size=t)
-            from msam.conv import KernelBank
-
-            got = conv1d_forward(x, KernelBank(weights, biases, s)).maps
-            worst = max(worst, float(np.max(np.abs(got - naive_conv(x, weights, biases, s)))))
+            x = rng.normal(size=(2, t))
+            got = conv1d_forward_batch(x, KernelBank(weights, biases, s))
+            for row, segment in zip(got, x):
+                expected = naive_conv(segment, weights, biases, s)
+                worst = max(worst, float(np.max(np.abs(row.T - expected))))
         elapsed = time.time() - started
         report(
-            f"criterion 3: 1000 random conv instances vs oracle "
+            f"criterion 3: 1000 random conv batches (B=2) vs oracle "
             f"(max abs err {worst:.2e}, {elapsed:.1f}s)",
             worst < 1e-9 and elapsed < 30.0,
         )

@@ -109,6 +109,16 @@ class TestTrainCommand:
     def test_missing_corpus_exit_code(self, tmp_path):
         assert main(["train", "--model", "I_15^50", "--out", str(tmp_path)]) == EXIT_VALIDATION
 
+    def test_negative_label_manifest_is_io_error(self, tmp_path):
+        from msam.conv import Signal
+        from msam.dataio import write_wav
+
+        write_wav(tmp_path / "u.wav", Signal(np.full(320, 0.1)))
+        (tmp_path / "u.labels").write_text("1\n-1\n")
+        (tmp_path / "c.tsv").write_text("u.wav\tu.labels\tm0\n")
+        assert main(["train", "--model", "I_15^50", "--corpus", str(tmp_path / "c.tsv"),
+                     "--out", str(tmp_path / "run")]) == EXIT_IO
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.ini"),
                      "--model", "I_15^50", "--synth", SYNTH]) == EXIT_IO

@@ -4,16 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msam.conv import (
-    FeatureMaps,
     KernelBank,
-    cnn_layer_forward,
-    conv1d_backward,
-    conv1d_forward,
-    extract_frame,
-    flatten_frame_major,
+    conv1d_backward_batch,
+    conv1d_forward_batch,
     output_map_size,
     required_span,
-    unflatten_frame_major,
 )
 from msam.errors import GeometryError, GradientShapeError
 
@@ -66,24 +61,29 @@ class TestSpanArithmetic:
 
 
 class TestForward:
+    """conv1d_forward_batch: (B, T) segments -> frame-major (B, M, K) maps."""
+
     def test_delta_kernel_picks_aligned_samples(self):
         bank = KernelBank([[1, 0, 0, 0, 0]], [0.0], 1)
-        maps = conv1d_forward(np.array([1.0, 0, 0, 0, 0, 0, 0]), bank)
-        np.testing.assert_array_equal(maps.maps, [[1.0, 0.0, 0.0]])
+        x = np.array([[1.0, 0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0, 0]])
+        maps = conv1d_forward_batch(x, bank)
+        np.testing.assert_array_equal(maps, [[[1.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]]])
 
     def test_figure_geometry_map_size(self, rng):
         bank = random_bank(rng, 1, 5, 4)
-        assert conv1d_forward(rng.normal(size=13), bank).map_size == 3
+        assert conv1d_forward_batch(rng.normal(size=(2, 13)), bank).shape == (2, 3, 1)
 
     def test_matches_oracle(self, rng):
         bank = random_bank(rng, 2, 5, 3)
-        x = rng.normal(size=32)
-        expected = naive_conv(x, bank.weights, bank.biases, 3)
-        np.testing.assert_allclose(conv1d_forward(x, bank).maps, expected, atol=1e-12)
+        x = rng.normal(size=(3, 32))
+        maps = conv1d_forward_batch(x, bank)
+        for row, segment in zip(maps, x):
+            expected = naive_conv(segment, bank.weights, bank.biases, 3)
+            np.testing.assert_allclose(row.T, expected, atol=1e-12)
 
     def test_too_short_segment_raises(self, rng):
         with pytest.raises(GeometryError):
-            conv1d_forward(rng.normal(size=3), random_bank(rng, 1, 5, 1))
+            conv1d_forward_batch(rng.normal(size=(2, 3)), random_bank(rng, 1, 5, 1))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -93,116 +93,124 @@ class TestForward:
         l = int(rng.integers(1, 12))
         s = int(rng.integers(1, 6))
         t = l + int(rng.integers(0, 40))
+        b = int(rng.integers(2, 5))
         bank = random_bank(rng, k, l, s)
-        x = rng.normal(size=t)
-        expected = naive_conv(x, bank.weights, bank.biases, s)
-        assert np.max(np.abs(conv1d_forward(x, bank).maps - expected)) < 1e-9
+        x = rng.normal(size=(b, t))
+        maps = conv1d_forward_batch(x, bank)
+        for row, segment in zip(maps, x):
+            expected = naive_conv(segment, bank.weights, bank.biases, s)
+            assert np.max(np.abs(row.T - expected)) < 1e-9
 
     def test_linearity(self, rng):
         bank = KernelBank(rng.normal(size=(3, 7)), np.zeros(3), 2)
-        x, z = rng.normal(size=25), rng.normal(size=25)
+        x, z = rng.normal(size=(2, 25)), rng.normal(size=(2, 25))
         a, b = 1.7, -0.3
-        combined = conv1d_forward(a * x + b * z, bank).maps
-        separate = a * conv1d_forward(x, bank).maps + b * conv1d_forward(z, bank).maps
+        combined = conv1d_forward_batch(a * x + b * z, bank)
+        separate = a * conv1d_forward_batch(x, bank) + b * conv1d_forward_batch(z, bank)
         np.testing.assert_allclose(combined, separate, atol=1e-9)
 
     def test_stride_one_full_span_is_valid_correlation(self, rng):
         kernel = rng.normal(size=9)
-        x = rng.normal(size=40)
+        x = rng.normal(size=(3, 40))
         bank = KernelBank(kernel[None, :], [0.0], 1)
-        np.testing.assert_allclose(
-            conv1d_forward(x, bank).maps[0], np.correlate(x, kernel, mode="valid"),
-            atol=1e-12,
-        )
+        maps = conv1d_forward_batch(x, bank)
+        for row, segment in zip(maps, x):
+            np.testing.assert_allclose(
+                row[:, 0], np.correlate(segment, kernel, mode="valid"), atol=1e-12
+            )
 
 
 class TestExtractFrame:
+    """Frame m of a layer output is maps[:, m - 1]: all K kernel responses."""
+
     def test_column_extraction(self):
-        maps = FeatureMaps(np.array([[1.0, 2, 3], [4, 5, 6]]))
-        np.testing.assert_array_equal(extract_frame(maps, 2).values, [2.0, 5.0])
+        bank = KernelBank([[1.0], [10.0]], [0.0, 0.0], 1)
+        maps = conv1d_forward_batch(np.array([[1.0, 2, 3]]), bank)
+        np.testing.assert_array_equal(maps[0, 1], [2.0, 20.0])
 
     def test_delta_example_first_frame(self):
         bank = KernelBank([[1, 0, 0, 0, 0]], [0.0], 1)
-        maps = conv1d_forward(np.array([1.0, 0, 0, 0, 0, 0, 0]), bank)
-        np.testing.assert_array_equal(extract_frame(maps, 1).values, [1.0])
+        maps = conv1d_forward_batch(np.array([[1.0, 0, 0, 0, 0, 0, 0]]), bank)
+        np.testing.assert_array_equal(maps[0, 0], [1.0])
 
     def test_matches_window_dot_product(self, rng):
         bank = random_bank(rng, 2, 5, 3)
-        x = rng.normal(size=32)
-        maps = conv1d_forward(x, bank)
-        for m in range(1, maps.map_size + 1):
-            window = x[(m - 1) * 3 : (m - 1) * 3 + 5]
-            expected = bank.weights @ window + bank.biases
-            np.testing.assert_allclose(extract_frame(maps, m).values, expected, atol=1e-12)
-
-    def test_out_of_range_raises(self):
-        maps = FeatureMaps(np.ones((2, 3)))
-        with pytest.raises(IndexError):
-            extract_frame(maps, 4)
-        with pytest.raises(IndexError):
-            extract_frame(maps, 0)
+        x = rng.normal(size=(2, 32))
+        maps = conv1d_forward_batch(x, bank)
+        for b in range(2):
+            for m in range(maps.shape[1]):
+                window = x[b, m * 3 : m * 3 + 5]
+                expected = bank.weights @ window + bank.biases
+                np.testing.assert_allclose(maps[b, m], expected, atol=1e-12)
 
 
 class TestCnnLayerForward:
+    """A layer's flat frame-major output, reshape(B, M*K), as the next layer sees it."""
+
     def test_identity_kernel_gives_strided_subsamples(self, rng):
-        x = rng.normal(size=20)
+        x = rng.normal(size=(2, 20))
         bank = KernelBank([[1.0]], [0.0], 3)
-        np.testing.assert_allclose(cnn_layer_forward(x, bank, apply_relu=False), x[::3])
+        np.testing.assert_allclose(conv1d_forward_batch(x, bank).reshape(2, -1), x[:, ::3])
 
     def test_relu_zeroes_negative_outputs(self):
         bank = KernelBank([[1.0]], [0.0], 1)
-        x = np.array([-1.0, 2.0, -3.0])
-        np.testing.assert_array_equal(cnn_layer_forward(x, bank, apply_relu=True), [0, 2, 0])
+        x = np.array([[-1.0, 2.0, -3.0]])
+        flat = np.maximum(conv1d_forward_batch(x, bank), 0).reshape(1, -1)
+        np.testing.assert_array_equal(flat, [[0, 2, 0]])
 
     def test_matches_composition_oracle(self, rng):
         bank = random_bank(rng, 3, 4, 2)
-        x = rng.normal(size=21)
-        maps = conv1d_forward(x, bank)
-        expected = np.concatenate(
-            [extract_frame(maps, m).values for m in range(1, maps.map_size + 1)]
-        )
-        np.testing.assert_allclose(cnn_layer_forward(x, bank, apply_relu=False), expected)
+        x = rng.normal(size=(2, 21))
+        flat = conv1d_forward_batch(x, bank).reshape(2, -1)
+        for row, segment in zip(flat, x):
+            expected = naive_conv(segment, bank.weights, bank.biases, 2).T.reshape(-1)
+            np.testing.assert_allclose(row, expected, atol=1e-12)
 
     def test_flatten_round_trip(self, rng):
-        maps = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(
-            unflatten_frame_major(flatten_frame_major(maps), 4), maps
-        )
+        maps = conv1d_forward_batch(rng.normal(size=(3, 17)), random_bank(rng, 4, 2, 3))
+        flat = maps.reshape(3, -1)
+        assert np.shares_memory(flat, maps)
+        np.testing.assert_array_equal(flat.reshape(maps.shape), maps)
+        np.testing.assert_array_equal(flat[:, 4:8], maps[:, 1])
 
 
 class TestBackward:
+    """conv1d_backward_batch: (B, M, K) upstream, batch-summed parameter grads."""
+
     def test_zero_upstream_gives_zero_grads(self, rng):
         bank = random_bank(rng, 2, 5, 3)
-        x = rng.normal(size=20)
-        dw, db, dx = conv1d_backward(x, bank, np.zeros((2, 6)))
+        x = rng.normal(size=(2, 20))
+        dw, db, dx = conv1d_backward_batch(x, bank, np.zeros((2, 6, 2)))
         assert not dw.any() and not db.any() and not dx.any()
 
     def test_single_window_weight_grad_is_scaled_input(self, rng):
         bank = random_bank(rng, 1, 5, 1)
-        x = rng.normal(size=5)
-        upstream = np.array([[2.5]])
-        dw, db, dx = conv1d_backward(x, bank, upstream)
-        np.testing.assert_allclose(dw, 2.5 * x[None, :])
-        np.testing.assert_allclose(db, [2.5])
-        np.testing.assert_allclose(dx, 2.5 * bank.weights[0])
+        x = rng.normal(size=(2, 5))
+        upstream = np.array([[[2.5]], [[-1.0]]])
+        dw, db, dx = conv1d_backward_batch(x, bank, upstream)
+        np.testing.assert_allclose(dw, (2.5 * x[0] - x[1])[None, :])
+        np.testing.assert_allclose(db, [1.5])
+        np.testing.assert_allclose(dx, [2.5 * bank.weights[0], -bank.weights[0]])
 
     def test_shape_mismatch_raises(self, rng):
         bank = random_bank(rng, 2, 5, 3)
-        with pytest.raises(GradientShapeError):
-            conv1d_backward(rng.normal(size=20), bank, np.zeros((2, 5)))
+        x = rng.normal(size=(2, 20))
+        for shape in ((2, 5, 2), (2, 2, 6)):  # wrong M; kernel-major (B, K, M)
+            with pytest.raises(GradientShapeError):
+                conv1d_backward_batch(x, bank, np.zeros(shape))
 
     def test_matches_finite_differences(self, rng):
         bank = KernelBank(
             rng.uniform(-1, 1, size=(2, 4)), rng.uniform(-1, 1, size=2), 2
         )
-        x = rng.uniform(-1, 1, size=13)
-        upstream = rng.uniform(-1, 1, size=(2, 5))
+        x = rng.uniform(-1, 1, size=(3, 13))
+        upstream = rng.uniform(-1, 1, size=(3, 5, 2))
 
         def loss():
-            return float(np.sum(conv1d_forward(x, bank).maps * upstream))
+            return float(np.sum(conv1d_forward_batch(x, bank) * upstream))
 
         analytic = dict(
-            zip(("w", "b", "x"), conv1d_backward(x, bank, upstream))
+            zip(("w", "b", "x"), conv1d_backward_batch(x, bank, upstream))
         )
         numeric = finite_difference_grads(
             loss, {"w": bank.weights, "b": bank.biases, "x": x}

@@ -7,7 +7,6 @@ from msam.conv import Signal
 from msam.dataio import (
     Corpus,
     Utterance,
-    frame_windows,
     load_manifest,
     load_wav,
     normalize_global,
@@ -17,6 +16,9 @@ from msam.dataio import (
 )
 from msam.errors import DegenerateInputError, FormatError
 from msam.fbank import compute_fbank
+from msam.trainer import FrameDataset
+
+from conftest import span_model
 
 
 def _write_raw_wav(path, samples_int16, channels=1, rate=16000, width=2):
@@ -159,16 +161,24 @@ class TestNormalizeUtteranceMeeting:
             normalize_utterance_meeting(corpus)
 
 
+def frame_windows(utterances, span):
+    """FrameDataset.inputs rows, one per 10 ms frame, for a one-stream model."""
+    dataset = FrameDataset(span_model([span]), Corpus(utterances, 3))
+    return dataset.inputs(np.arange(len(dataset)))[0]
+
+
 class TestFrameWindows:
+    """Windows gathered by FrameDataset.inputs; edges are zero-padded."""
+
     def test_window_count_equals_labels(self, rng):
         utterance = Utterance("u", Signal(rng.normal(size=1600)), np.arange(10) % 3)
-        assert len(list(frame_windows(utterance, 301))) == 10
+        assert frame_windows([utterance], 301).shape == (10, 301)
 
     def test_first_window_of_long_span_zero_padded(self, rng):
         utterance = Utterance("u", Signal(rng.normal(size=1600)), np.zeros(10))
-        center, window, _ = next(iter(frame_windows(utterance, 801)))
-        assert center == 0
+        window = frame_windows([utterance], 801)[0]
         assert not window[:401].any()  # everything before sample 0
+        assert window[401:].all()
 
     def test_equals_slice_of_padded_signal(self, rng):
         samples = rng.normal(size=800)
@@ -176,17 +186,18 @@ class TestFrameWindows:
         span = 333
         pad = span
         padded = np.concatenate([np.zeros(pad), samples, np.zeros(pad)])
-        for center, window, label in frame_windows(utterance, span):
-            start = center - (span + 1) // 2 + pad
+        for n, window in enumerate(frame_windows([utterance], span)):
+            start = 160 * n - (span + 1) // 2 + pad
             np.testing.assert_array_equal(window, padded[start : start + span])
-            assert label == center // 160
 
     def test_padding_is_exactly_zero(self, rng):
-        utterance = Utterance("u", Signal(rng.normal(size=320) + 10.0), np.zeros(2))
-        windows = [w for _, w, _ in frame_windows(utterance, 1001)]
-        assert (windows[0][:501] == 0).all()
-        assert (windows[0][501 + 320 :] == 0).all()
-        assert (np.abs(windows[0][501 : 501 + 320]) > 0).all()  # samples sit near +10
+        utterances = [
+            Utterance(u, Signal(rng.normal(size=320) + 10.0), np.zeros(2)) for u in "ab"
+        ]
+        for window in frame_windows(utterances, 1001)[[0, 2]]:
+            assert (window[:501] == 0).all()
+            assert (window[501 + 320 :] == 0).all()  # not the neighbouring utterance
+            assert (np.abs(window[501 : 501 + 320]) > 0).all()  # samples sit near +10
 
 
 class TestSynthCorpus:
@@ -259,3 +270,28 @@ class TestManifest:
         manifest.write_text("u.wav\tu.labels\tm0\n")
         with pytest.raises(FormatError, match="labels"):
             load_manifest(manifest)
+
+    def test_same_stem_in_different_directories_keeps_audio(self, tmp_path, rng):
+        signals = [Signal(rng.normal(size=320)), Signal(3.0 * rng.normal(size=320))]
+        lines = []
+        for folder, signal in zip("ab", signals):
+            (tmp_path / folder).mkdir()
+            write_wav(tmp_path / folder / "x.wav", signal)
+            (tmp_path / folder / "x.labels").write_text("0\n1\n")
+            lines.append(f"{folder}/x.wav\t{folder}/x.labels\tm0")
+        manifest = tmp_path / "c.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+        loaded = load_manifest(manifest)
+        centered = [u.signal.samples - u.signal.samples.mean() for u in loaded.utterances]
+        scale = np.sqrt(np.mean(np.concatenate(centered) ** 2))
+        normalized = normalize_utterance_meeting(loaded)
+        for expected, u in zip(centered, normalized.utterances):
+            np.testing.assert_allclose(u.signal.samples, expected / scale)
+
+    def test_negative_label_rejected(self, tmp_path):
+        write_wav(tmp_path / "u.wav", Signal(np.zeros(320)))
+        (tmp_path / "u.labels").write_text("0\n-1\n")
+        manifest = tmp_path / "c.tsv"
+        manifest.write_text("u.wav\tu.labels\tm0\n")
+        with pytest.raises(FormatError, match="utterance u .*negative"):
+            load_manifest(manifest, num_classes=3)

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from msam.conv import output_map_size
-from msam.errors import GeometryError
+from msam.errors import GeometryError, ValidationError
+from msam.model import RawWaveformModel
+from msam.network import init_head
 from msam.streams import (
     StreamConfig,
     centered_window,
     init_stream,
-    multispan_forward,
-    single_span_forward,
-    stream_forward,
     stream_input_span,
 )
 
@@ -69,24 +68,41 @@ class TestCenteredWindow:
             )
 
 
+def raw_model(streams, rng, kind="multi_span"):
+    dim = sum(
+        s.config.projection_dim if kind == "multi_span" else s.config.output_dim
+        for s in streams
+    )
+    return RawWaveformModel(kind, streams, init_head(dim, (), 2, rng, dtype=np.float64))
+
+
+def centered_batches(model, x, centers):
+    """Per-stream window batches of `x` at `centers`, by the centering rule."""
+    return [
+        np.stack([centered_window(x, c, span) for c in centers]) for span in model.spans
+    ]
+
+
 class TestStreamForward:
+    """One stream's stack, as RawWaveformModel.features_batch runs it."""
+
     def test_output_length(self, rng):
         cfg = tiny_stream_config(3)
-        stream = init_stream(cfg, rng, dtype=np.float64)
-        o = stream_forward(stream, rng.normal(size=cfg.input_span))
-        assert o.shape == (cfg.output_dim,)
+        model = raw_model([init_stream(cfg, rng, dtype=np.float64)], rng, "single_span")
+        o = model.features_batch([rng.normal(size=(3, cfg.input_span))])
+        assert o.shape == (3, cfg.output_dim)
 
     def test_zero_window_zero_biases_gives_zero(self, rng):
         cfg = tiny_stream_config(2)
-        stream = init_stream(cfg, rng, dtype=np.float64)
-        o = stream_forward(stream, np.zeros(cfg.input_span))
+        model = raw_model([init_stream(cfg, rng, dtype=np.float64)], rng, "single_span")
+        o = model.features_batch([np.zeros((2, cfg.input_span))])
         assert not o.any()
 
     def test_window_length_mismatch_raises(self, rng):
         cfg = tiny_stream_config(2)
-        stream = init_stream(cfg, rng, dtype=np.float64)
+        model = raw_model([init_stream(cfg, rng, dtype=np.float64)], rng, "single_span")
         with pytest.raises(GeometryError):
-            stream_forward(stream, np.zeros(cfg.input_span + 1))
+            model.features_batch([np.zeros((2, cfg.input_span + 1))])
 
 
 class TestMultiSpanForward:
@@ -95,42 +111,48 @@ class TestMultiSpanForward:
             init_stream(tiny_stream_config(s), rng, dtype=np.float64) for s in strides
         ]
 
+    def _features(self, streams, x, centers, rng):
+        model = raw_model(streams, rng)
+        return model.features_batch(centered_batches(model, x, centers))
+
     def test_concatenated_dimension(self, rng):
         streams = self._streams(rng)
-        p = multispan_forward(streams, rng.normal(size=200), 100)
-        assert p.shape == (sum(s.config.projection_dim for s in streams),)
+        p = self._features(streams, rng.normal(size=200), [100, 0], rng)
+        assert p.shape == (2, sum(s.config.projection_dim for s in streams))
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
     def test_dimension_for_any_stream_count(self, rng, count):
         streams = self._streams(rng, strides=range(2, 2 + count))
-        p = multispan_forward(streams, rng.normal(size=200), 100)
-        assert p.shape == (2 * count,)
+        if count == 1:
+            with pytest.raises(ValidationError):
+                raw_model(streams, rng)
+            return
+        p = self._features(streams, rng.normal(size=200), [100], rng)
+        assert p.shape == (1, 2 * count)
 
     def test_zero_projections_give_zero_vector(self, rng):
         streams = self._streams(rng)
         for s in streams:
             s.projection[...] = 0.0
-        p = multispan_forward(streams, rng.normal(size=200), 100)
+        p = self._features(streams, rng.normal(size=200), [100, 160], rng)
         assert not p.any()
 
     def test_stream_independence(self, rng):
         streams = self._streams(rng)
         x = rng.normal(size=200)
-        before = multispan_forward(streams, x, 100)
+        before = self._features(streams, x, [100], rng)[0]
         streams[1].first_layer.weights += rng.normal(size=streams[1].first_layer.weights.shape)
         streams[1].projection += rng.normal(size=streams[1].projection.shape)
-        after = multispan_forward(streams, x, 100)
+        after = self._features(streams, x, [100], rng)[0]
         dim = streams[0].config.projection_dim
         np.testing.assert_array_equal(before[:dim], after[:dim])
         np.testing.assert_array_equal(before[2 * dim :], after[2 * dim :])
         assert np.any(before[dim : 2 * dim] != after[dim : 2 * dim])
 
     def test_determinism(self, rng):
-        streams = self._streams(rng)
-        x = rng.normal(size=200)
-        a = multispan_forward(streams, x, 64)
-        b = multispan_forward(streams, x, 64)
-        np.testing.assert_array_equal(a, b)
+        model = raw_model(self._streams(rng), rng)
+        windows = centered_batches(model, rng.normal(size=200), [64, 0, 199])
+        np.testing.assert_array_equal(model.features_batch(windows), model.features_batch(windows))
 
 
 class TestSingleSpanForward:
@@ -142,15 +164,15 @@ class TestSingleSpanForward:
     def test_zero_input_zero_output(self, rng):
         cfg = tiny_stream_config(3)
         stream = init_stream(cfg, rng, with_projection=False, dtype=np.float64)
-        assert not single_span_forward(stream, np.zeros(100), 50).any()
+        model = raw_model([stream], rng, "single_span")
+        assert not model.features_batch(centered_batches(model, np.zeros(100), [50, 0])).any()
 
     def test_equals_unprojected_stream_path(self, rng):
-        cfg = tiny_stream_config(3)
-        stream = init_stream(cfg, rng, dtype=np.float64)
+        streams = [init_stream(tiny_stream_config(s), rng, dtype=np.float64) for s in (3, 2)]
+        single = raw_model(streams[:1], rng, "single_span")
+        multi = raw_model(streams, rng)
         x = rng.normal(size=120)
-        o = single_span_forward(stream, x, 60)
-        window = centered_window(x, 60, cfg.input_span)
-        np.testing.assert_array_equal(o, stream_forward(stream, window))
-        np.testing.assert_allclose(
-            multispan_forward([stream], x, 60), stream.projection @ o, atol=1e-12
-        )
+        o = single.features_batch(centered_batches(single, x, [60, 100]))
+        p = multi.features_batch(centered_batches(multi, x, [60, 100]))
+        dim = streams[0].config.projection_dim
+        np.testing.assert_allclose(p[:, :dim], o @ streams[0].projection.T, atol=1e-12)

@@ -8,12 +8,12 @@ from msam.errors import FormatError
 from msam.model import (
     build_fbank_model,
     build_raw_model,
-    model_backward,
+    head_loss_and_grads,
 )
 from msam.network import (
     DnnHead,
-    cross_entropy,
-    dnn_forward,
+    cross_entropy_batch,
+    head_forward_batch,
     init_head,
     softmax,
 )
@@ -27,12 +27,14 @@ from conftest import (
 
 
 class TestDnnForward:
+    """head_forward_batch: class probabilities for a (B, D) batch."""
+
     def test_probabilities_sum_to_one(self, rng):
         head = init_head(6, (4, 4), 5, rng, dtype=np.float64)
-        probs = dnn_forward(rng.normal(size=6), head)
-        assert probs.shape == (5,)
+        probs, _ = head_forward_batch(head, rng.normal(size=(3, 6)))
+        assert probs.shape == (3, 5)
         assert (probs >= 0).all()
-        assert abs(probs.sum() - 1.0) < 1e-9
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_weights_give_uniform(self):
         head = DnnHead(
@@ -41,22 +43,24 @@ class TestDnnForward:
             output_weight=np.zeros((5, 3)),
             output_bias=np.zeros(5),
         )
-        np.testing.assert_allclose(dnn_forward(np.ones(4), head), np.full(5, 0.2))
+        probs, _ = head_forward_batch(head, np.ones((2, 4)))
+        np.testing.assert_allclose(probs, np.full((2, 5), 0.2))
 
     def test_matches_matrix_oracle(self, rng):
         head = init_head(4, (3, 3), 2, rng, dtype=np.float64)
-        x = rng.normal(size=4)
-        h = x
-        for w, b in zip(head.hidden_weights, head.hidden_biases):
-            h = np.maximum(w @ h + b, 0)
-        logits = head.output_weight @ h + head.output_bias
-        expected = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(dnn_forward(x, head), expected, atol=1e-9)
+        x = rng.normal(size=(3, 4))
+        probs, _ = head_forward_batch(head, x)
+        for row, h in zip(probs, x):
+            for w, b in zip(head.hidden_weights, head.hidden_biases):
+                h = np.maximum(w @ h + b, 0)
+            logits = head.output_weight @ h + head.output_bias
+            expected = np.exp(logits) / np.exp(logits).sum()
+            np.testing.assert_allclose(row, expected, atol=1e-9)
 
     def test_dim_mismatch_raises(self, rng):
         head = init_head(4, (3,), 2, rng)
         with pytest.raises(ValueError):
-            dnn_forward(np.zeros(5), head)
+            head_forward_batch(head, np.zeros((2, 5)))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
@@ -67,21 +71,25 @@ class TestDnnForward:
 
 
 class TestCrossEntropy:
+    """cross_entropy_batch: mean CE over probability rows."""
+
     def test_certain_prediction_costs_nothing(self):
-        assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
+        probs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        assert cross_entropy_batch(probs, np.array([1, 0])) == 0.0
 
     def test_uniform_costs_log_c(self):
-        probs = np.full(8, 1 / 8)
-        assert abs(cross_entropy(probs, 3) - np.log(8)) < 1e-12
+        probs = np.full((2, 8), 1 / 8)
+        assert abs(cross_entropy_batch(probs, np.array([3, 5])) - np.log(8)) < 1e-12
 
     def test_matches_direct_formula(self, rng):
-        probs = rng.dirichlet(np.ones(5))
-        for label in range(5):
-            assert cross_entropy(probs, label) == pytest.approx(-np.log(probs[label]))
+        probs = rng.dirichlet(np.ones(5), size=5)
+        labels = np.arange(5)
+        expected = -np.mean(np.log(probs[labels, labels]))
+        assert cross_entropy_batch(probs, labels) == pytest.approx(expected)
 
     def test_invalid_label_raises(self):
         with pytest.raises(IndexError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+            cross_entropy_batch(np.array([[0.5, 0.5]]), np.array([2]))
 
 
 def _tiny_multi_span(rng):
@@ -110,9 +118,8 @@ class TestModelBackward:
     def test_softmax_ce_logit_gradient_identity(self, rng):
         head = init_head(5, (), 4, rng, dtype=np.float64)
         x = rng.normal(size=(1, 5))
-        from msam.network import head_forward_batch
-
-        probs, _ = head_forward_batch(head, x)
+        # With no hidden layer, the output-bias gradient is dCE/dlogits.
+        _, grads, _ = head_loss_and_grads(head, x, np.array([2]))
         one_hot = np.zeros(4)
         one_hot[2] = 1.0
         # Numerical gradient of CE w.r.t. logits.
@@ -125,6 +132,8 @@ class TestModelBackward:
             plus = -np.log(softmax(logits + bump))[2]
             minus = -np.log(softmax(logits - bump))[2]
             numeric[j] = (plus - minus) / (2 * h)
+        np.testing.assert_allclose(grads["head.output.bias"], numeric, atol=1e-6)
+        probs, _ = head_forward_batch(head, x)
         np.testing.assert_allclose(probs[0] - one_hot, numeric, atol=1e-6)
 
     def test_one_hot_optimum_gives_near_zero_grads(self, rng):
@@ -133,7 +142,7 @@ class TestModelBackward:
         # Drive the output layer to near-certainty for the label.
         model.head.output_weight *= 0.0
         model.head.output_bias[...] = np.array([50.0, -50.0, -50.0])
-        grads = model_backward(model, windows, np.array([0]))
+        _, grads = model.loss_and_grads(windows, np.array([0]))
         assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-12
 
     @pytest.mark.parametrize("builder", [_tiny_single_span, _tiny_multi_span])

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msam.dataio import normalize_global, synth_corpus
+from msam.conv import Signal
+from msam.dataio import Corpus, Utterance, normalize_global, synth_corpus
 from msam.errors import ValidationError
 from msam.model import build_fbank_model, build_raw_model
-from msam.streams import desk_scale_config
+from msam.streams import centered_window, desk_scale_config
 from msam.trainer import (
+    FrameDataset,
     NewBobState,
     PretrainSchedule,
     TrainConfig,
@@ -18,7 +22,7 @@ from msam.trainer import (
     train_model,
 )
 
-from conftest import tiny_stream_config
+from conftest import span_model, tiny_stream_config
 
 
 class TestSgdStep:
@@ -208,6 +212,32 @@ class TestTrainEpoch:
         state = make_state(model, small_corpus, TrainConfig())
         assert len(state.dataset) == small_corpus.total_frames()
         assert len(state.train_idx) + len(state.cv_idx) == len(state.dataset)
+
+
+class TestFrameDataset:
+    @given(
+        lengths=st.lists(st.integers(1, 1200), min_size=1, max_size=4),
+        spans=st.lists(st.integers(4, 700), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_centered_window_of_own_utterance(self, lengths, spans, seed):
+        rng = np.random.default_rng(seed)
+        # Frame counts are drawn apart from lengths, so some centers lie past the samples.
+        utterances = [
+            Utterance(f"u{i}", Signal(rng.normal(size=n) + 5.0), np.zeros(rng.integers(1, 9)))
+            for i, n in enumerate(lengths)
+        ]
+        dataset = FrameDataset(span_model(spans), Corpus(utterances, 3))
+        rows = rng.permutation(len(dataset))
+        owners = [(u, 160 * n) for u in utterances for n in range(u.num_frames)]
+        for span, windows in zip(spans, dataset.inputs(rows)):
+            assert windows.shape == (len(rows), span)
+            for row, window in zip(rows, windows):
+                u, center = owners[row]
+                np.testing.assert_array_equal(
+                    window, centered_window(u.signal.samples, center, span)
+                )
 
 
 class TestTrainModel:
