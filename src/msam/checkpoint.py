@@ -11,6 +11,8 @@ Each record: name length | name (UTF-8) | rank | dims... | float32 payload.
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -27,11 +29,15 @@ def _write_u32(fh, value: int):
     fh.write(struct.pack("<I", value))
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise FormatError(f"{what}: truncated, expected {size} bytes, got {len(data)}")
+    return data
+
+
 def _read_u32(fh) -> int:
-    data = fh.read(4)
-    if len(data) != 4:
-        raise FormatError("truncated checkpoint: expected 4-byte integer")
-    return struct.unpack("<I", data)[0]
+    return struct.unpack("<I", _read_exact(fh, 4, "4-byte integer"))[0]
 
 
 def save_checkpoint(path, model):
@@ -71,15 +77,21 @@ def load_checkpoint(path):
             raise FormatError("config_digest: config JSON does not match its digest")
         config = json.loads(config_json.decode("utf-8"))
         tensors = {}
-        for _ in range(_read_u32(fh)):
-            name = fh.read(_read_u32(fh)).decode("utf-8")
+        for index in range(_read_u32(fh)):
+            encoded = _read_exact(fh, _read_u32(fh), f"tensor {index} name")
+            try:
+                name = encoded.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"tensor {index} name: not UTF-8 ({exc})") from exc
             rank = _read_u32(fh)
             dims = tuple(_read_u32(fh) for _ in range(rank))
-            count = int(np.prod(dims)) if dims else 1
-            payload = fh.read(4 * count)
-            if len(payload) != 4 * count:
-                raise FormatError(f"tensor {name}: truncated payload")
+            count = math.prod(dims)
+            payload = _read_exact(fh, 4 * count, f"tensor {name} payload")
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        end = fh.tell()
+        size = fh.seek(0, os.SEEK_END)
+        if size != end:
+            raise FormatError(f"trailing data: {size - end} bytes after the last tensor")
     model = model_from_config(config)
     params = model.params()
     if set(params) != set(tensors):

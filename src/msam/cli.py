@@ -140,19 +140,33 @@ _STREAM_KEYS = {
     "second_kernel_len": int, "second_map_size": int, "second_num_kernels": int,
     "projection_dim": int,
 }
+# Every INI section and key load_run_config reads; anything else is rejected.
+_CONFIG_KEYS = {
+    "model": {"spec", "scale", "hidden_dims", "num_classes", *_STREAM_KEYS},
+    "train": set(_TRAIN_KEYS),
+    "data": {"corpus", "synth", "normalization"},
+}
 
 
 def load_run_config(args, require_model: bool = True) -> RunConfig:
     """Assemble the run configuration from the INI file plus CLI overrides."""
     parser = configparser.ConfigParser()
-    sections = {"model": {}, "train": {}, "data": {}}
+    sections = {name: {} for name in _CONFIG_KEYS}
     if args.config:
         read = parser.read(args.config)
         if not read:
             raise FileNotFoundError(f"config file not found: {args.config}")
-        for name in sections:
+        unknown = sorted(set(parser.sections()) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValidationError(
+                f"config: unknown section(s) {unknown}; expected {sorted(_CONFIG_KEYS)}"
+            )
+        for name, known in _CONFIG_KEYS.items():
             if parser.has_section(name):
                 sections[name] = dict(parser.items(name))
+                unknown = sorted(set(sections[name]) - known)
+                if unknown:
+                    raise ValidationError(f"config [{name}]: unknown key(s) {unknown}")
     model_spec = getattr(args, "model", None) or sections["model"].get("spec")
     if require_model and not model_spec:
         raise ValidationError("no model spec given (--model or [model] spec)")

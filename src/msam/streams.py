@@ -169,3 +169,12 @@ def centered_window(samples: np.ndarray, center: int, span: int) -> np.ndarray:
     if hi > lo:
         window[lo - start : hi - start] = samples[lo:hi]
     return window
+
+
+def gather_windows(buffer: np.ndarray, centers, span: int) -> np.ndarray:
+    """`centered_window(buffer, c, span)` for every centre c, shape (B, span),
+    gathered from one strided view; every window must lie inside `buffer`."""
+    starts = np.asarray(centers) - (span + 1) // 2
+    if len(starts) and (starts.min() < 0 or starts.max() + span > len(buffer)):
+        raise GeometryError(f"a window of span {span} reaches outside the buffer")
+    return np.lib.stride_tricks.sliding_window_view(buffer, span)[starts]

@@ -11,7 +11,7 @@ from .dataio import FRAME_SHIFT
 from .errors import ValidationError
 from .model import FbankDnnModel
 from .network import cross_entropy_batch
-from .streams import glorot_uniform
+from .streams import gather_windows, glorot_uniform
 
 PRETRAIN_STAGES = ("subnet", "extended", "full")
 
@@ -190,11 +190,7 @@ class FrameDataset:
     def inputs(self, idxs):
         if self.features is not None:
             return self.features[idxs]
-        centers = self.centers[idxs]
-        return [
-            np.lib.stride_tricks.sliding_window_view(self.buffer, span)[centers - (span + 1) // 2]
-            for span in self.spans
-        ]
+        return [gather_windows(self.buffer, self.centers[idxs], span) for span in self.spans]
 
 
 @dataclass
@@ -212,6 +208,11 @@ def make_state(model, corpus, config: TrainConfig) -> TrainerState:
     rng = np.random.default_rng((config.seed, 0xCE))
     perm = rng.permutation(len(dataset))
     n_cv = max(1, int(round(config.cv_fraction * len(dataset))))
+    if n_cv >= len(dataset):
+        raise ValidationError(
+            f"corpus of {len(dataset)} frame(s) leaves no training frames after the "
+            f"cross-validation split (cv_fraction {config.cv_fraction})"
+        )
     return TrainerState(
         newbob=NewBobState(current_lr=config.learning_rate),
         dataset=dataset,
@@ -221,12 +222,19 @@ def make_state(model, corpus, config: TrainConfig) -> TrainerState:
 
 
 def evaluate_frames(model, dataset: FrameDataset, idxs, batch_size: int = 1024):
-    """Mean CE loss and frame accuracy (percent) over the given frames."""
+    """Mean CE loss and frame accuracy (percent) over the given frames.
+
+    Waveform models score each chunk with `forward_at`, which shares the
+    conv stacks over runs of consecutive frames where that saves MACs.
+    """
     total_loss = 0.0
     correct = 0
     for start in range(0, len(idxs), batch_size):
         chunk = idxs[start : start + batch_size]
-        probs = model.forward_batch(dataset.inputs(chunk))
+        if dataset.features is None:
+            probs = model.forward_at(dataset.buffer, dataset.centers[chunk])
+        else:
+            probs = model.forward_batch(dataset.features[chunk])
         labels = dataset.labels[chunk]
         total_loss += cross_entropy_batch(probs, labels) * len(chunk)
         correct += int((probs.argmax(axis=1) == labels).sum())
@@ -238,6 +246,8 @@ def train_epoch(model, corpus, config: TrainConfig, state: TrainerState):
     """One shuffled pass over the training frames.
 
     Returns (model, mean train CE loss, CV frame accuracy in percent).
+    Raises FloatingPointError on a non-finite step loss or, after the
+    pass, a non-finite parameter.
     """
     if state.dataset is None:
         fresh = make_state(model, corpus, config)
@@ -254,10 +264,18 @@ def train_epoch(model, corpus, config: TrainConfig, state: TrainerState):
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
         loss, grads = model.loss_and_grads(dataset.inputs(chunk), dataset.labels[chunk])
+        if not np.isfinite(loss):
+            raise FloatingPointError(
+                f"non-finite training loss in epoch {state.epoch + 1}, "
+                f"step {start // config.batch_size + 1}"
+            )
         sgd_step(model.params(), grads, state.velocity, lr,
                  config.momentum, config.weight_decay)
         total_loss += loss * len(chunk)
     state.epoch += 1
+    bad = [name for name, p in model.params().items() if not np.isfinite(p).all()]
+    if bad:
+        raise FloatingPointError(f"non-finite parameters after epoch {state.epoch}: {bad}")
     _, cv_accuracy = evaluate_frames(model, dataset, state.cv_idx)
     return model, total_loss / len(order), cv_accuracy
 

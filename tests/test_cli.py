@@ -3,6 +3,7 @@ import pytest
 
 from msam.cli import (
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     format_model_spec,
@@ -122,6 +123,74 @@ class TestTrainCommand:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.ini"),
                      "--model", "I_15^50", "--synth", SYNTH]) == EXIT_IO
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_is_numerical_error_without_outputs(self, tmp_path, capsys):
+        config = tmp_path / "diverge.ini"
+        config.write_text("[model]\nscale = desk\n\n[train]\nlearning_rate = 1e6\n"
+                          "max_epochs = 3\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--model", "I_15^50",
+                     "--synth", "classes=3,utterances=2,duration=0.5,seed=1",
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists() and not (out / "train.log").exists()
+
+    def test_one_frame_corpus_is_validation_error(self, tmp_path, capsys):
+        from msam.conv import Signal
+        from msam.dataio import write_wav
+
+        write_wav(tmp_path / "u.wav", Signal(np.linspace(-0.1, 0.1, 160)))
+        (tmp_path / "u.labels").write_text("1\n")
+        (tmp_path / "c.tsv").write_text("u.wav\tu.labels\tm0\n")
+        assert main(["train", "--model", "I_15^50", "--corpus", str(tmp_path / "c.tsv"),
+                     "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "1 frame" in err and "cv_fraction 0.1" in err
+
+
+class TestConfigFile:
+    @staticmethod
+    def _train(tmp_path, ini):
+        config = tmp_path / "run.ini"
+        config.write_text(ini)
+        return main(["train", "--config", str(config), "--model", "I_15^50",
+                     "--synth", SYNTH, "--out", str(tmp_path / "run")])
+
+    def test_unknown_section_rejected(self, tmp_path, capsys):
+        ini = DESK_MODEL_INI.replace("[train]", "[training]")
+        assert self._train(tmp_path, ini) == EXIT_VALIDATION
+        assert "unknown section(s) ['training']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("train", "learnig_rate"), ("model", "hidden_dim"), ("data", "normalisation"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
+        ini = DESK_MODEL_INI + "\n[data]\nnormalization = global\n"
+        ini = ini.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+        assert self._train(tmp_path, ini) == EXIT_VALIDATION
+        assert f"config [{section}]: unknown key(s) ['{key}']" in capsys.readouterr().err
+
+    def test_every_documented_key_accepted(self, tmp_path):
+        from types import SimpleNamespace
+
+        from msam.cli import load_run_config
+
+        config = tmp_path / "full.ini"
+        config.write_text(
+            "[model]\nspec = M_4,9^50,50\nscale = desk\nhidden_dims = 8,8\nnum_classes = 3\n"
+            "first_map_size = 25\nfirst_num_kernels = 16\nsecond_stride = 48\n"
+            "second_kernel_len = 160\nsecond_map_size = 6\nsecond_num_kernels = 32\n"
+            "projection_dim = 50\n\n[train]\nlearning_rate = 0.02\nmomentum = 0.9\n"
+            "weight_decay = 1e-5\nbatch_size = 256\ncv_fraction = 0.1\nmax_epochs = 2\n"
+            "seed = 0\n\n[data]\nsynth = " + SYNTH + "\nnormalization = global\n"
+        )
+        args = SimpleNamespace(config=str(config), model=None, corpus=None, synth=None,
+                               out=None, seed=None, epochs=None)
+        run = load_run_config(args)
+        assert run.model["kind"] == "multi_span" and run.train.max_epochs == 2
+        assert run.stream_overrides["projection_dim"] == 50
 
 
 class TestEvalCommand:

@@ -210,6 +210,38 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @staticmethod
+    def _first_name_offset(blob: bytes) -> int:
+        """Offset of the first tensor record's name-length field."""
+        config_len = int.from_bytes(blob[40:44], "little")
+        return 44 + config_len + 4
+
+    def _saved_blob(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_fbank_model(3, hidden_dims=(4,), seed=2))
+        return path, bytearray(path.read_bytes())
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path, blob = self._saved_blob(tmp_path)
+        blob[self._first_name_offset(blob) + 4] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    def test_name_shorter_than_stated_length_rejected(self, tmp_path):
+        path, blob = self._saved_blob(tmp_path)
+        at = self._first_name_offset(blob)
+        blob[at : at + 4] = len(blob).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="name: truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self._saved_blob(tmp_path)
+        path.write_bytes(bytes(blob) + b"\x00")
+        with pytest.raises(FormatError, match="trailing data: 1 bytes"):
+            load_checkpoint(path)
+
     def test_tampered_config_rejected(self, rng, tmp_path):
         model = build_fbank_model(3, hidden_dims=(4,), seed=2)
         path = tmp_path / "m.ckpt"

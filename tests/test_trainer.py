@@ -1,19 +1,24 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msam.model
 from msam.conv import Signal
-from msam.dataio import Corpus, Utterance, normalize_global, synth_corpus
+from msam.dataio import FRAME_SHIFT, Corpus, Utterance, normalize_global, synth_corpus
 from msam.errors import ValidationError
-from msam.model import build_fbank_model, build_raw_model
-from msam.streams import centered_window, desk_scale_config
+from msam.model import build_fbank_model, build_raw_model, frame_conv_macs, shared_conv_macs
+from msam.network import cross_entropy_batch
+from msam.streams import StreamConfig, centered_window, desk_scale_config
 from msam.trainer import (
     FrameDataset,
     NewBobState,
     PretrainSchedule,
     TrainConfig,
     TrainerState,
+    evaluate_frames,
     make_state,
     newbob_update,
     pretrain_transition,
@@ -238,6 +243,115 @@ class TestFrameDataset:
                 np.testing.assert_array_equal(
                     window, centered_window(u.signal.samples, center, span)
                 )
+
+
+# (first_map_size, first_num_kernels, second_stride, second_kernel_len,
+# second_map_size) of small two-layer geometries; in the last one a conv2
+# step is 1.5 conv1 positions, which the shared path cannot take.
+SMALL_GEOMETRIES = [(16, 2, 8, 8, 4), (16, 2, 4, 8, 7), (12, 4, 8, 16, 5), (12, 4, 6, 16, 6)]
+# 7 never shares; 16, 20 divide FRAME_SHIFT; 48, 96, 200 need 3-5 conv1 phases.
+SMALL_STRIDES = [7, 16, 20, 48, 96, 200]
+
+
+def small_config(stride, geometry):
+    m1, k1, s2, l2, m2 = geometry
+    return StreamConfig(first_stride=stride, first_kernel_len=8, first_map_size=m1,
+                        first_num_kernels=k1, second_stride=s2, second_kernel_len=l2,
+                        second_map_size=m2, second_num_kernels=3, projection_dim=2)
+
+
+def shares(config, num_frames):
+    return shared_conv_macs(config, num_frames) < num_frames * frame_conv_macs(config)
+
+
+def shared_calls(model, dataset, idxs):
+    """features_at of the frames, and the (stream, first centre, run length)
+    of every run it sent down the shared path."""
+    calls = []
+    original = msam.model.shared_stream_outputs
+
+    def spy(stream, buffer, first_center, num_frames):
+        index = next(i for i, s in enumerate(model.streams) if s is stream)
+        calls.append((index, int(first_center), num_frames))
+        return original(stream, buffer, first_center, num_frames)
+
+    with mock.patch.object(msam.model, "shared_stream_outputs", spy):
+        features = model.features_at(dataset.buffer, dataset.centers[idxs])
+    return features, calls
+
+
+def predicted_calls(model, centers):
+    """The runs the closed-form cost rule sends down the shared path."""
+    bounds = [0, *(np.flatnonzero(np.diff(centers) != FRAME_SHIFT) + 1), len(centers)]
+    return [(i, int(centers[lo]), hi - lo)
+            for i, stream in enumerate(model.streams)
+            for lo, hi in zip(bounds, bounds[1:]) if shares(stream.config, hi - lo)]
+
+
+class TestEvaluateFrames:
+    def test_cost_rule_at_paper_and_desk_geometry(self):
+        """Per-frame conv MACs over a 1024-frame run: the shared path wins at
+        paper geometry for every flagship stride and loses at desk geometry."""
+        for stride, shared_mmacs in ((4, 1.77), (9, 3.82), (15, 0.77)):
+            paper = StreamConfig(first_stride=stride, first_kernel_len=50)
+            assert frame_conv_macs(paper) == 4_244_480
+            assert shared_conv_macs(paper, 1024) / 1024 / 1e6 == pytest.approx(shared_mmacs, abs=0.005)
+            desk = desk_scale_config(stride, 50)
+            ratio = shared_conv_macs(desk, 1024) / (1024 * frame_conv_macs(desk))
+            assert 3.7 <= ratio <= 19
+            assert shares(paper, 1024) and not shares(paper, 1)
+            assert not any(shares(desk, n) for n in (1, 2, 10, 100, 1024))
+
+    def test_shared_and_gathered_streams_in_one_model(self):
+        sharing, gathered = small_config(32, SMALL_GEOMETRIES[0]), small_config(7, SMALL_GEOMETRIES[0])
+        assert shares(sharing, 2) and not any(shares(gathered, n) for n in range(1, 1000))
+        model = build_raw_model("multi_span", [sharing, gathered], 3, hidden_dims=(), dtype=np.float64)
+        rng = np.random.default_rng(0)
+        utterances = [Utterance(f"u{i}", Signal(rng.normal(size=n)), np.zeros(n // FRAME_SHIFT, int))
+                      for i, n in enumerate((1600, 4000))]
+        dataset = FrameDataset(model, Corpus(utterances, 3))
+        idxs = np.arange(len(dataset))
+        features, calls = shared_calls(model, dataset, idxs)
+        assert calls == [(0, int(dataset.centers[0]), 10), (0, int(dataset.centers[10]), 25)]
+        np.testing.assert_array_equal(features, model.features_batch(dataset.inputs(idxs)))
+
+    @given(
+        lengths=st.lists(st.integers(1, 6000), min_size=1, max_size=3),
+        streams=st.lists(st.tuples(st.sampled_from(SMALL_STRIDES), st.sampled_from(SMALL_GEOMETRIES)),
+                         min_size=1, max_size=2),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        batch_size=st.integers(1, 120),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_window_batch_path(self, lengths, streams, dtype, batch_size, seed):
+        rng = np.random.default_rng(seed)
+        configs = [small_config(stride, geometry) for stride, geometry in streams]
+        kind = "single_span" if len(configs) == 1 else "multi_span"
+        model = build_raw_model(kind, configs, 3, hidden_dims=(4,), seed=seed, dtype=dtype)
+        # Frame counts are drawn apart from lengths, so some labels outrun their samples.
+        utterances = [
+            Utterance(f"u{i}", Signal(rng.normal(size=n)),
+                      rng.integers(0, 3, size=rng.integers(1, n // FRAME_SHIFT + 4)))
+            for i, n in enumerate(lengths)
+        ]
+        dataset = FrameDataset(model, Corpus(utterances, 3))
+        n = len(dataset)
+        sparse = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        for idxs in (np.arange(n), sparse):
+            chunks = [idxs[i : i + batch_size] for i in range(0, len(idxs), batch_size)]
+            for chunk in chunks:
+                features, calls = shared_calls(model, dataset, chunk)
+                assert calls == predicted_calls(model, dataset.centers[chunk])
+                expected = model.features_batch(dataset.inputs(chunk))
+                np.testing.assert_allclose(features, expected, rtol=tol,
+                                           atol=tol * np.abs(expected).max())
+            probs = model.forward_batch(dataset.inputs(idxs))
+            labels = dataset.labels[idxs]
+            loss, accuracy = evaluate_frames(model, dataset, idxs, batch_size=batch_size)
+            assert loss == pytest.approx(cross_entropy_batch(probs, labels), rel=tol)
+            assert accuracy == 100.0 * int((probs.argmax(axis=1) == labels).sum()) / len(idxs)
 
 
 class TestTrainModel:
