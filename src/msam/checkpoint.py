@@ -30,10 +30,12 @@ def _write_u32(fh, value: int):
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise FormatError(f"{what}: truncated, expected {size} bytes, got {len(data)}")
-    return data
+    """`size` bytes, checked against the bytes left in the file before reading,
+    so a corrupt length can neither allocate nor overflow."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise FormatError(f"{what}: truncated, expected {size} bytes, got {left}")
+    return fh.read(size)
 
 
 def _read_u32(fh) -> int:
@@ -71,8 +73,8 @@ def load_checkpoint(path):
         version = _read_u32(fh)
         if version != FORMAT_VERSION:
             raise FormatError(f"format_version: unsupported version {version}")
-        digest = fh.read(32)
-        config_json = fh.read(_read_u32(fh))
+        digest = _read_exact(fh, 32, "config_digest")
+        config_json = _read_exact(fh, _read_u32(fh), "config JSON")
         if hashlib.sha256(config_json).digest() != digest:
             raise FormatError("config_digest: config JSON does not match its digest")
         config = json.loads(config_json.decode("utf-8"))
@@ -92,7 +94,12 @@ def load_checkpoint(path):
         size = fh.seek(0, os.SEEK_END)
         if size != end:
             raise FormatError(f"trailing data: {size - end} bytes after the last tensor")
-    model = model_from_config(config)
+    try:
+        model = model_from_config(config)
+    except KeyError as exc:
+        raise FormatError(f"config: missing key {exc}") from exc
+    except TypeError as exc:  # a nested config object lacks a field or has a stray one
+        raise FormatError(f"config: {exc}") from exc
     params = model.params()
     if set(params) != set(tensors):
         missing = set(params) ^ set(tensors)

@@ -7,7 +7,7 @@ Three model kinds share the same classifier head:
 """
 
 from dataclasses import asdict
-from math import gcd, inf
+from math import lcm
 from typing import List, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .network import (
     head_params,
     init_head,
 )
-from .streams import Stream, StreamConfig, gather_windows, init_stream
+from .streams import Stream, StreamConfig, gather_windows, init_stream, window_starts
 
 MODEL_KINDS = ("multi_span", "single_span", "fbank_dnn")
 
@@ -41,45 +41,6 @@ def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray)
     return loss, grads, dfeat
 
 
-def frame_conv_macs(config: StreamConfig) -> int:
-    """conv1 + conv2 multiply-accumulates of one stream over one frame window."""
-    return (config.first_map_size * config.first_num_kernels * config.first_kernel_len
-            + config.second_map_size * config.second_num_kernels * config.second_kernel_len)
-
-
-def shared_run_sizes(config: StreamConfig, num_frames: int):
-    """Sizes of one stream's conv stack shared over a run of `num_frames`
-    frames FRAME_SHIFT samples apart.
-
-    With S = first_stride and d = second_stride / first_num_kernels (conv1
-    positions per conv2 step), conv2 window j of frame n starts at sample
-    offset FRAME_SHIFT*n + S*d*j from the first frame's window, so frame n
-    belongs to class FRAME_SHIFT*n mod S*d.  A class is a conv1 phase
-    (offset mod S) and a conv2 shift (which of the d conv1 positions its
-    windows start on).  Returns (phases, classes, conv1 positions per
-    phase, conv2 outputs per class); every phase covers the largest shift
-    d - 1, so all phases and all classes have one length.
-    """
-    s, k1 = config.first_stride, config.first_num_kernels
-    d = config.second_stride // k1
-    phases = min(num_frames, s // gcd(FRAME_SHIFT, s))
-    classes = min(num_frames, s * d // gcd(FRAME_SHIFT, s * d))
-    outputs = FRAME_SHIFT * (num_frames - 1) // (s * d) + config.second_map_size
-    positions = d - 1 + d * (outputs - 1) + -(-config.second_kernel_len // k1)
-    return phases, classes, positions, outputs
-
-
-def shared_conv_macs(config: StreamConfig, num_frames: int) -> float:
-    """conv1 + conv2 MACs of one stream over a run of `num_frames` frames
-    FRAME_SHIFT apart on the shared path; infinite when a conv2 step is not
-    a whole number of conv1 positions, which the shared path cannot do."""
-    if config.second_stride % config.first_num_kernels:
-        return inf
-    phases, classes, positions, outputs = shared_run_sizes(config, num_frames)
-    return (phases * positions * config.first_num_kernels * config.first_kernel_len
-            + classes * outputs * config.second_num_kernels * config.second_kernel_len)
-
-
 def stream_stack(stream: Stream, windows: np.ndarray):
     """conv1 -> ReLU -> conv2 -> ReLU of a (B, span) window batch: the
     frame-major conv1 maps (B, M1, K1) and the outputs (B, output_dim)."""
@@ -88,42 +49,38 @@ def stream_stack(stream: Stream, windows: np.ndarray):
     return y, o.reshape(len(windows), -1)
 
 
-def shared_stream_outputs(stream: Stream, buffer: np.ndarray, first_center: int,
-                          num_frames: int) -> np.ndarray:
-    """`stream_stack` outputs of the `num_frames` frames centred at
-    `first_center + FRAME_SHIFT*n` in `buffer`, shape (num_frames, output_dim).
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """`np.unique(values)` by one sort; NumPy 2's hash-based unique is ~20x
+    slower on the (frames, map size) position grids eval builds."""
+    v = np.sort(values, axis=None)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
-    conv1 runs once per phase over the run's samples, conv2 once per class
-    over that phase's frame-major conv1 output (see `shared_run_sizes`),
-    and each frame gathers its second_map_size outputs.  Samples past the
-    run's last window read as zeros where `buffer` ends; only outputs no
-    frame uses read them.
+
+def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers) -> np.ndarray:
+    """`stream_stack` outputs of the frames centred at `centers` in `buffer`,
+    shape (B, output_dim), computing conv1 once per distinct sample position
+    and conv2 once per distinct window.
+
+    Distinct conv1 positions are ordered by phase (position mod stride),
+    then by position, so a frame's first_map_size positions are consecutive
+    rows of the conv1 table and its conv2 input is one slice of that table
+    flattened.
     """
     cfg = stream.config
-    span = cfg.input_span
-    start = first_center - (span + 1) // 2
-    if start < 0 or start + FRAME_SHIFT * (num_frames - 1) + span > len(buffer):
-        raise GeometryError(f"a window of span {span} reaches outside the buffer")
-    s, k1 = cfg.first_stride, cfg.first_num_kernels
-    d = cfg.second_stride // k1
-    _, _, positions, outputs = shared_run_sizes(cfg, num_frames)
-    offsets = FRAME_SHIFT * np.arange(num_frames)
-    keys, frame_class = np.unique(offsets % (s * d), return_inverse=True)
-    phases, class_phase = np.unique(keys % s, return_inverse=True)
-    length = s * (positions - 1) + cfg.first_kernel_len
-    run = np.zeros(phases[-1] + length, dtype=buffer.dtype)
-    samples = buffer[start : start + len(run)]
-    run[: len(samples)] = samples
-    segments = np.lib.stride_tricks.sliding_window_view(run, length)[phases]
-    y = np.maximum(conv1d_forward_batch(segments, stream.first_layer), 0)
-    flat = y.reshape(len(phases), -1)
-    length2 = cfg.second_stride * (outputs - 1) + cfg.second_kernel_len
-    shifts = (keys // s) * k1
-    segments2 = np.lib.stride_tricks.sliding_window_view(flat, length2, axis=1)[class_phase, shifts]
-    o = np.maximum(conv1d_forward_batch(segments2, stream.second_layer), 0)
-    first = offsets // (s * d)
-    o = o[frame_class[:, None], first[:, None] + np.arange(cfg.second_map_size)]
-    return o.reshape(num_frames, -1)
+    s = cfg.first_stride
+    starts = window_starts(buffer, centers, cfg.input_span)
+    pos = starts[:, None] + s * np.arange(cfg.first_map_size)
+    keys = (pos % s) * len(buffer) + pos  # phase-major; key mod len(buffer) is the position
+    distinct = sorted_distinct(keys)
+    windows = np.lib.stride_tricks.sliding_window_view(buffer, cfg.first_kernel_len)
+    y = np.maximum(conv1d_forward_batch(windows[distinct % len(buffer)], stream.first_layer), 0)
+    row0 = np.searchsorted(distinct, keys[:, 0])
+    flat = cfg.first_num_kernels * row0[:, None] + cfg.second_stride * np.arange(cfg.second_map_size)
+    distinct2 = sorted_distinct(flat)
+    windows2 = np.lib.stride_tricks.sliding_window_view(y.reshape(-1), cfg.second_kernel_len)
+    o = np.maximum(conv1d_forward_batch(windows2[distinct2], stream.second_layer), 0)
+    o = o.reshape(len(distinct2), -1)[np.searchsorted(distinct2, flat)]
+    return o.reshape(len(starts), -1)
 
 
 class RawWaveformModel:
@@ -199,33 +156,17 @@ class RawWaveformModel:
         """Feature vectors of the frames centred at `centers` in `buffer`,
         shape (B, feature_dim): `features_batch` of their `gather_windows`.
 
-        Per stream, a run of consecutive frames FRAME_SHIFT apart takes the
-        shared path (`shared_stream_outputs`) when `shared_conv_macs` is
-        strictly below the MACs of convolving each window; the other frames'
-        windows are gathered and run through `stream_stack`.
+        A stream in which two frames FRAME_SHIFT apart can read a common
+        conv1 position takes `stream_outputs_at`; any other stream's windows
+        are gathered and run through `stream_stack`, as in training.
         """
-        centers = np.asarray(centers)
-        bounds = np.flatnonzero(np.diff(centers) != FRAME_SHIFT) + 1
-        runs = list(zip([0, *bounds], [*bounds, len(centers)]))
-        lengths = {hi - lo for lo, hi in runs}
         parts = []
         for stream in self.streams:
             cfg = stream.config
-            share = {n: shared_conv_macs(cfg, n) < n * frame_conv_macs(cfg) for n in lengths}
-            shared = [(lo, hi) for lo, hi in runs if share[hi - lo]]
-            if not shared:
-                o = stream_stack(stream, gather_windows(buffer, centers, cfg.input_span))[1]
+            if lcm(FRAME_SHIFT, cfg.first_stride) <= cfg.first_stride * (cfg.first_map_size - 1):
+                o = stream_outputs_at(stream, buffer, centers)
             else:
-                gather = np.ones(len(centers), dtype=bool)
-                for lo, hi in shared:
-                    gather[lo:hi] = False
-                o = np.empty((len(centers), cfg.output_dim),
-                             dtype=np.result_type(buffer, stream.first_layer.weights))
-                if gather.any():
-                    o[gather] = stream_stack(
-                        stream, gather_windows(buffer, centers[gather], cfg.input_span))[1]
-                for lo, hi in shared:
-                    o[lo:hi] = shared_stream_outputs(stream, buffer, centers[lo], hi - lo)
+                o = stream_stack(stream, gather_windows(buffer, centers, cfg.input_span))[1]
             parts.append(self._project(stream, o))
         return np.concatenate(parts, axis=1)
 

@@ -171,10 +171,17 @@ def centered_window(samples: np.ndarray, center: int, span: int) -> np.ndarray:
     return window
 
 
-def gather_windows(buffer: np.ndarray, centers, span: int) -> np.ndarray:
-    """`centered_window(buffer, c, span)` for every centre c, shape (B, span),
-    gathered from one strided view; every window must lie inside `buffer`."""
+def window_starts(buffer: np.ndarray, centers, span: int) -> np.ndarray:
+    """First sample of `centered_window(buffer, c, span)` for every centre c;
+    every window must lie inside `buffer`."""
     starts = np.asarray(centers) - (span + 1) // 2
     if len(starts) and (starts.min() < 0 or starts.max() + span > len(buffer)):
         raise GeometryError(f"a window of span {span} reaches outside the buffer")
+    return starts
+
+
+def gather_windows(buffer: np.ndarray, centers, span: int) -> np.ndarray:
+    """`centered_window(buffer, c, span)` for every centre c, shape (B, span),
+    gathered from one strided view; every window must lie inside `buffer`."""
+    starts = window_starts(buffer, centers, span)
     return np.lib.stride_tricks.sliding_window_view(buffer, span)[starts]

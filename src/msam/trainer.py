@@ -221,11 +221,12 @@ def make_state(model, corpus, config: TrainConfig) -> TrainerState:
     )
 
 
-def evaluate_frames(model, dataset: FrameDataset, idxs, batch_size: int = 1024):
+def evaluate_frames(model, dataset: FrameDataset, idxs, batch_size: int = 512):
     """Mean CE loss and frame accuracy (percent) over the given frames.
 
-    Waveform models score each chunk with `forward_at`, which shares the
-    conv stacks over runs of consecutive frames where that saves MACs.
+    Waveform models score each chunk with `forward_at`, which computes a
+    conv output once per chunk where frames' windows overlap.  Its buffers
+    grow with the chunk, and smaller chunks slow the head's matmuls.
     """
     total_loss = 0.0
     correct = 0
@@ -242,24 +243,17 @@ def evaluate_frames(model, dataset: FrameDataset, idxs, batch_size: int = 1024):
     return total_loss / n, 100.0 * correct / n
 
 
-def train_epoch(model, corpus, config: TrainConfig, state: TrainerState):
-    """One shuffled pass over the training frames.
+def train_epoch(model, config: TrainConfig, state: TrainerState):
+    """One shuffled pass over the training frames of a `make_state` state.
 
     Returns (model, mean train CE loss, CV frame accuracy in percent).
     Raises FloatingPointError on a non-finite step loss or, after the
     pass, a non-finite parameter.
     """
-    if state.dataset is None:
-        fresh = make_state(model, corpus, config)
-        state.dataset, state.train_idx, state.cv_idx = (
-            fresh.dataset, fresh.train_idx, fresh.cv_idx,
-        )
-        if state.newbob is None:
-            state.newbob = fresh.newbob
     dataset = state.dataset
     rng = np.random.default_rng((config.seed, 1 + state.epoch))
     order = state.train_idx[rng.permutation(len(state.train_idx))]
-    lr = state.newbob.current_lr if state.newbob else config.learning_rate
+    lr = state.newbob.current_lr
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
@@ -290,26 +284,27 @@ def train_model(model, corpus, config: TrainConfig,
 
     With a pretraining schedule (multi-span models), runs one epoch per
     pretraining stage with a topology transition and momentum reset after
-    each, then trains the full head under NewBob+ until it stops or
-    max_epochs is reached.
+    each, then trains the full head under NewBob+ until it stops.  No run
+    exceeds max_epochs epochs, and no transition follows the last epoch.
     """
     state = make_state(model, corpus, config)
     log = []
 
     def run_epoch():
         lr = state.newbob.current_lr
-        _, loss, cv = train_epoch(model, corpus, config, state)
+        _, loss, cv = train_epoch(model, config, state)
         log.append(format_log_line(state.epoch, lr, loss, cv))
         return cv
 
     if pretrain is not None:
         if pretrain.stage != "subnet":
             raise ValidationError("pretraining must start at the 'subnet' stage")
-        while pretrain.stage != "full":
-            for _ in range(pretrain.epochs_per_stage):
+        while pretrain.stage != "full" and state.epoch < config.max_epochs:
+            for _ in range(min(pretrain.epochs_per_stage, config.max_epochs - state.epoch)):
                 run_epoch()
-            pretrain_transition(model, pretrain)
-            state.velocity = {}
+            if state.epoch < config.max_epochs:
+                pretrain_transition(model, pretrain)
+                state.velocity = {}
     while state.epoch < config.max_epochs:
         cv = run_epoch()
         if newbob_update(state.newbob, cv) == "stop":

@@ -7,7 +7,6 @@ report lines.
 import time
 
 import numpy as np
-import pytest
 
 from msam.analysis import effective_kernel_length, kernel_spectrum, sort_by_peak
 from msam.checkpoint import load_checkpoint, save_checkpoint

@@ -1,9 +1,14 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msam.checkpoint import load_checkpoint, save_checkpoint
+from msam.cli import EXIT_IO, main
 from msam.errors import FormatError
 from msam.model import (
     build_fbank_model,
@@ -234,6 +239,39 @@ class TestCheckpoint:
         blob[at : at + 4] = len(blob).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="name: truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, drop, key", [
+        ("fbank", lambda c: c.pop("context_frames"), "context_frames"),
+        ("multi_span", lambda c: c["streams"][1].pop("first_stride"), "first_stride"),
+    ])
+    def test_config_missing_key_rejected(self, tmp_path, kind, drop, key):
+        if kind == "fbank":
+            model = build_fbank_model(3, hidden_dims=(4,), seed=2)
+        else:
+            model = build_raw_model("multi_span", [tiny_stream_config(s) for s in (2, 3)], 4,
+                                    hidden_dims=(3,), seed=9)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        size = int.from_bytes(blob[40:44], "little")
+        config = json.loads(blob[44 : 44 + size])
+        drop(config)
+        encoded = json.dumps(config, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:8] + hashlib.sha256(encoded).digest()
+                         + struct.pack("<I", len(encoded)) + encoded + blob[44 + size :])
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(path)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == EXIT_IO
+
+    def test_payload_larger_than_file_rejected_before_reading(self, tmp_path):
+        path, blob = self._saved_blob(tmp_path)
+        at = self._first_name_offset(blob)
+        rank_at = at + 4 + int.from_bytes(blob[at : at + 4], "little")
+        # 4 * (2**32 - 1)**3 bytes: reading it would overflow, allocating it would fail.
+        huge = struct.pack("<4I", 3, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+        path.write_bytes(bytes(blob[:rank_at]) + huge + bytes(blob[rank_at:]))
+        with pytest.raises(FormatError, match="payload: truncated"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

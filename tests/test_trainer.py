@@ -1,3 +1,4 @@
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msam.model
-from msam.conv import Signal
+from msam.conv import Signal, output_map_size
 from msam.dataio import FRAME_SHIFT, Corpus, Utterance, normalize_global, synth_corpus
 from msam.errors import ValidationError
-from msam.model import build_fbank_model, build_raw_model, frame_conv_macs, shared_conv_macs
+from msam.model import build_fbank_model, build_raw_model
 from msam.network import cross_entropy_batch
 from msam.streams import StreamConfig, centered_window, desk_scale_config
 from msam.trainer import (
@@ -17,7 +18,6 @@ from msam.trainer import (
     NewBobState,
     PretrainSchedule,
     TrainConfig,
-    TrainerState,
     evaluate_frames,
     make_state,
     newbob_update,
@@ -182,7 +182,7 @@ class TestTrainEpoch:
                              max_epochs=1, seed=0)
         state = make_state(model, small_corpus, config)
         state.newbob.current_lr = 0.0
-        train_epoch(model, small_corpus, config, state)
+        train_epoch(model, config, state)
         for k, v in before.items():
             np.testing.assert_array_equal(model.params()[k], v)
 
@@ -203,7 +203,7 @@ class TestTrainEpoch:
                              batch_size=100_000, max_epochs=5, seed=0,
                              cv_fraction=0.05)
         state = make_state(model, small_corpus, config)
-        losses = [train_epoch(model, small_corpus, config, state)[1] for _ in range(5)]
+        losses = [train_epoch(model, config, state)[1] for _ in range(5)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_empty_corpus_rejected(self):
@@ -247,9 +247,10 @@ class TestFrameDataset:
 
 # (first_map_size, first_num_kernels, second_stride, second_kernel_len,
 # second_map_size) of small two-layer geometries; in the last one a conv2
-# step is 1.5 conv1 positions, which the shared path cannot take.
+# step is 1.5 conv1 positions.
 SMALL_GEOMETRIES = [(16, 2, 8, 8, 4), (16, 2, 4, 8, 7), (12, 4, 8, 16, 5), (12, 4, 6, 16, 6)]
-# 7 never shares; 16, 20 divide FRAME_SHIFT; 48, 96, 200 need 3-5 conv1 phases.
+# 7 never shares a conv1 position between frames; 16, 20 divide FRAME_SHIFT;
+# 48, 96, 200 share only every 3rd-5th frame.
 SMALL_STRIDES = [7, 16, 20, 48, 96, 200]
 
 
@@ -260,59 +261,93 @@ def small_config(stride, geometry):
                         second_map_size=m2, second_num_kernels=3, projection_dim=2)
 
 
-def shares(config, num_frames):
-    return shared_conv_macs(config, num_frames) < num_frames * frame_conv_macs(config)
+def shares_positions(config):
+    """Two frames FRAME_SHIFT apart can read a common conv1 position."""
+    return lcm(FRAME_SHIFT, config.first_stride) <= config.first_stride * (config.first_map_size - 1)
 
 
-def shared_calls(model, dataset, idxs):
-    """features_at of the frames, and the (stream, first centre, run length)
-    of every run it sent down the shared path."""
-    calls = []
-    original = msam.model.shared_stream_outputs
-
-    def spy(stream, buffer, first_center, num_frames):
-        index = next(i for i, s in enumerate(model.streams) if s is stream)
-        calls.append((index, int(first_center), num_frames))
-        return original(stream, buffer, first_center, num_frames)
-
-    with mock.patch.object(msam.model, "shared_stream_outputs", spy):
-        features = model.features_at(dataset.buffer, dataset.centers[idxs])
-    return features, calls
+def distinct_counts(config, centers):
+    """Distinct conv1 sample positions and distinct conv2 windows, each a
+    (first conv1 position, kernel offset) pair, over the frames' windows."""
+    starts = np.asarray(centers) - (config.input_span + 1) // 2
+    positions = starts[:, None] + config.first_stride * np.arange(config.first_map_size)
+    flat = config.second_stride * np.arange(config.second_map_size)
+    first = starts[:, None] + config.first_stride * (flat // config.first_num_kernels)
+    offset = np.broadcast_to(flat % config.first_num_kernels, first.shape)
+    windows = np.unique(np.stack([first.ravel(), offset.ravel()]), axis=1)
+    return len(np.unique(positions)), windows.shape[1]
 
 
-def predicted_calls(model, centers):
-    """The runs the closed-form cost rule sends down the shared path."""
-    bounds = [0, *(np.flatnonzero(np.diff(centers) != FRAME_SHIFT) + 1), len(centers)]
-    return [(i, int(centers[lo]), hi - lo)
-            for i, stream in enumerate(model.streams)
-            for lo, hi in zip(bounds, bounds[1:]) if shares(stream.config, hi - lo)]
+def conv_batches(model, buffer, centers, compute=True):
+    """features_at of the frames, and per stream the (conv1, conv2) shapes of
+    the batches it passed to conv1d_forward_batch.  With compute=False the
+    convolutions return zeros, which counts rows without doing the work."""
+    shapes = {}
+    original = msam.model.conv1d_forward_batch
+
+    def spy(segments, bank):
+        shapes.setdefault(id(bank), []).append(segments.shape)
+        if compute:
+            return original(segments, bank)
+        m = output_map_size(segments.shape[1], bank.kernel_len, bank.stride)
+        return np.zeros((len(segments), m, bank.num_kernels), dtype=segments.dtype)
+
+    with mock.patch.object(msam.model, "conv1d_forward_batch", spy):
+        features = model.features_at(buffer, centers)
+    return features, [(*shapes[id(s.first_layer)], *shapes[id(s.second_layer)])
+                      for s in model.streams]
+
+
+def assert_conv_batches(model, centers, batches):
+    """Each stream that shares positions convolves each distinct conv1
+    position and conv2 window once; every other stream convolves its
+    gathered windows."""
+    for stream, (conv1, conv2) in zip(model.streams, batches):
+        cfg = stream.config
+        if shares_positions(cfg):
+            rows1, rows2 = distinct_counts(cfg, centers)
+            assert conv1 == (rows1, cfg.first_kernel_len)
+            assert conv2 == (rows2, cfg.second_kernel_len)
+        else:
+            assert conv1 == (len(centers), cfg.input_span)
+            assert conv2 == (len(centers), cfg.first_map_size * cfg.first_num_kernels)
 
 
 class TestEvaluateFrames:
-    def test_cost_rule_at_paper_and_desk_geometry(self):
-        """Per-frame conv MACs over a 1024-frame run: the shared path wins at
-        paper geometry for every flagship stride and loses at desk geometry."""
-        for stride, shared_mmacs in ((4, 1.77), (9, 3.82), (15, 0.77)):
-            paper = StreamConfig(first_stride=stride, first_kernel_len=50)
-            assert frame_conv_macs(paper) == 4_244_480
-            assert shared_conv_macs(paper, 1024) / 1024 / 1e6 == pytest.approx(shared_mmacs, abs=0.005)
-            desk = desk_scale_config(stride, 50)
-            ratio = shared_conv_macs(desk, 1024) / (1024 * frame_conv_macs(desk))
-            assert 3.7 <= ratio <= 19
-            assert shares(paper, 1024) and not shares(paper, 1)
-            assert not any(shares(desk, n) for n in (1, 2, 10, 100, 1024))
+    def test_conv_rows_are_distinct_positions_at_paper_geometry(self):
+        """Over a 1024-frame run at paper geometry conv1 runs once per distinct
+        sample position, and per-frame conv MACs stay within those of the
+        earlier phase-split path (1.7720M, 3.8206M, 0.7696M); desk-geometry
+        streams gather windows."""
+        centers = 2000 + FRAME_SHIFT * np.arange(1024)
+        buffer = np.zeros(centers[-1] + 2000, dtype=np.float32)
+        paper = [StreamConfig(first_stride=s, first_kernel_len=50) for s in (4, 9, 15)]
+        model = build_raw_model("multi_span", paper, 3, hidden_dims=())
+        _, batches = conv_batches(model, buffer, centers, compute=False)
+        assert_conv_batches(model, centers, batches)
+        for cfg, (conv1, conv2), bound in zip(paper, batches, (1.7721e6, 3.8207e6, 0.7696e6)):
+            assert shares_positions(cfg)
+            macs = (conv1[0] * cfg.first_num_kernels * cfg.first_kernel_len
+                    + conv2[0] * cfg.second_num_kernels * cfg.second_kernel_len)
+            assert macs / len(centers) <= bound
+        desk = [desk_scale_config(s, 50) for s in (4, 9, 15)]
+        assert not any(shares_positions(cfg) for cfg in desk)
+        model = build_raw_model("multi_span", desk, 3, hidden_dims=())
+        _, batches = conv_batches(model, buffer, centers, compute=False)
+        assert [conv1 for conv1, _ in batches] == [(1024, cfg.input_span) for cfg in desk]
 
     def test_shared_and_gathered_streams_in_one_model(self):
         sharing, gathered = small_config(32, SMALL_GEOMETRIES[0]), small_config(7, SMALL_GEOMETRIES[0])
-        assert shares(sharing, 2) and not any(shares(gathered, n) for n in range(1, 1000))
+        assert shares_positions(sharing) and not shares_positions(gathered)
         model = build_raw_model("multi_span", [sharing, gathered], 3, hidden_dims=(), dtype=np.float64)
         rng = np.random.default_rng(0)
         utterances = [Utterance(f"u{i}", Signal(rng.normal(size=n)), np.zeros(n // FRAME_SHIFT, int))
                       for i, n in enumerate((1600, 4000))]
         dataset = FrameDataset(model, Corpus(utterances, 3))
         idxs = np.arange(len(dataset))
-        features, calls = shared_calls(model, dataset, idxs)
-        assert calls == [(0, int(dataset.centers[0]), 10), (0, int(dataset.centers[10]), 25)]
+        features, batches = conv_batches(model, dataset.buffer, dataset.centers)
+        assert_conv_batches(model, dataset.centers, batches)
+        assert batches[0][0][0] < len(idxs) * sharing.first_map_size
         np.testing.assert_array_equal(features, model.features_batch(dataset.inputs(idxs)))
 
     @given(
@@ -342,8 +377,8 @@ class TestEvaluateFrames:
         for idxs in (np.arange(n), sparse):
             chunks = [idxs[i : i + batch_size] for i in range(0, len(idxs), batch_size)]
             for chunk in chunks:
-                features, calls = shared_calls(model, dataset, chunk)
-                assert calls == predicted_calls(model, dataset.centers[chunk])
+                features, batches = conv_batches(model, dataset.buffer, dataset.centers[chunk])
+                assert_conv_batches(model, dataset.centers[chunk], batches)
                 expected = model.features_batch(dataset.inputs(chunk))
                 np.testing.assert_allclose(features, expected, rtol=tol,
                                            atol=tol * np.abs(expected).max())
@@ -379,6 +414,21 @@ class TestTrainModel:
             assert len(fields) == 4
             int(fields[0])
             float(fields[1]), float(fields[2]), float(fields[3])
+
+    @pytest.mark.parametrize("max_epochs, stage, num_hidden", [(1, "subnet", 0), (2, "extended", 2)])
+    def test_max_epochs_caps_pretraining(self, small_corpus, max_epochs, stage, num_hidden):
+        """Pretraining stops at max_epochs, after the last epoch's stage and
+        without inserting layers that would never be trained."""
+        model = build_raw_model(
+            "multi_span", [desk_scale_config(s, 50) for s in (4, 9)], 3,
+            hidden_dims=(), seed=1,
+        )
+        schedule = PretrainSchedule(hidden_dim=16, seed=1)
+        log = train_model(model, small_corpus, TrainConfig(max_epochs=max_epochs, seed=1),
+                          pretrain=schedule)
+        assert [int(line.split("\t")[0]) for line in log] == list(range(1, max_epochs + 1))
+        assert schedule.stage == stage
+        assert model.head.num_hidden == num_hidden
 
     def test_pretrain_must_start_at_subnet(self, small_corpus):
         model = _small_model()
