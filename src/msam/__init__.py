@@ -11,8 +11,9 @@ if "MSAM_THREADS" in os.environ:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _cap)
 
-from .conv import KernelBank, Signal, output_map_size, required_span  # noqa: E402
-from .streams import Stream, StreamConfig, stream_input_span  # noqa: E402
+from .conv import KernelBank, output_map_size, required_span  # noqa: E402
+from .dataio import Signal  # noqa: E402
+from .streams import Stream, StreamConfig  # noqa: E402
 
 __all__ = [
     "KernelBank",
@@ -21,7 +22,6 @@ __all__ = [
     "StreamConfig",
     "output_map_size",
     "required_span",
-    "stream_input_span",
 ]
 
 __version__ = "0.1.0"

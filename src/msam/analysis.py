@@ -8,6 +8,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .dataio import SAMPLE_RATE
 from .errors import ValidationError
 from .fbank import FbankConfig, mel_filterbank
 
@@ -18,25 +19,20 @@ class KernelSpectrum:
     magnitudes: np.ndarray  # fft_size/2 + 1 non-negative-frequency bins
     peak_frequency: float  # Hz
 
-    @property
-    def peak_bin(self) -> int:
-        return int(np.argmax(self.magnitudes))
 
-
-def kernel_spectrum(kernel, fft_size: int = 512, sample_rate: int = 16000,
-                    kernel_index: int = 0) -> KernelSpectrum:
+def kernel_spectrum(kernel, fft_size: int = 512, kernel_index: int = 0) -> KernelSpectrum:
     """Zero-padded magnitude spectrum of one kernel.
 
-    The peak frequency is reported at the raw sampling rate: kernels slide
-    over raw samples, so the stride affects the hop, not the kernel's
-    intrinsic rate.
+    The peak frequency is reported at the raw sampling rate SAMPLE_RATE:
+    kernels slide over raw samples, so the stride affects the hop, not the
+    kernel's intrinsic rate.
     """
     kernel = np.asarray(kernel)
     if fft_size < len(kernel):
         raise ValueError(f"fft_size {fft_size} < kernel length {len(kernel)}")
     magnitudes = np.abs(np.fft.rfft(kernel, n=fft_size))
     peak = int(np.argmax(magnitudes))
-    return KernelSpectrum(kernel_index, magnitudes, peak * sample_rate / fft_size)
+    return KernelSpectrum(kernel_index, magnitudes, peak * SAMPLE_RATE / fft_size)
 
 
 def sort_by_peak(spectra: Sequence[KernelSpectrum]) -> List[int]:
@@ -82,12 +78,11 @@ def export_analysis(model, out_dir, fft_size: int = 512,
         raise ValidationError("no waveform kernels to analyze")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sample_rate = getattr(model, "sample_rate", 16000)
     paths = []
     for i, stream in enumerate(model.streams):
         kernels = stream.first_layer.weights
         spectra = [
-            kernel_spectrum(k, fft_size, sample_rate, kernel_index=j)
+            kernel_spectrum(k, fft_size, kernel_index=j)
             for j, k in enumerate(kernels)
         ]
         order = sort_by_peak(spectra)
@@ -105,7 +100,7 @@ def export_analysis(model, out_dir, fft_size: int = 512,
         )
         paths.extend([spectra_path, lengths_path])
     mel_path = out_dir / "mel_reference.csv"
-    mel = mel_filterbank(FbankConfig(fft_size=fft_size, sample_rate=sample_rate))
+    mel = mel_filterbank(FbankConfig(fft_size=fft_size))
     _write_csv(mel_path, [[f"{v:.9e}" for v in row] for row in mel])
     paths.append(mel_path)
     return paths

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, GeometryError, ValidationError
 from .model import model_from_config
 
 MAGIC = b"MSAM"
@@ -98,7 +98,8 @@ def load_checkpoint(path):
         model = model_from_config(config)
     except KeyError as exc:
         raise FormatError(f"config: missing key {exc}") from exc
-    except TypeError as exc:  # a nested config object lacks a field or has a stray one
+    except (TypeError, ValueError, GeometryError, ValidationError) as exc:
+        # a nested config object lacks a field or has a stray one, or a value is out of range
         raise FormatError(f"config: {exc}") from exc
     params = model.params()
     if set(params) != set(tensors):

@@ -5,7 +5,8 @@ Model specs follow the experiment naming convention:
 
     I_S^L             single-span model, first-layer stride S, kernel length L
     M_S1,S2,S3^L1,L2,L3   multi-span model (braces accepted: M_{4,9,15}^{50,50,50})
-    F_160^400         FBANK-DNN baseline (frame shift 160, frame size 400)
+    F_160^400         FBANK-DNN baseline (frame shift 160, frame size 400);
+                      the shift is always the 160-sample frame grid
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 """
@@ -14,7 +15,7 @@ import argparse
 import configparser
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -22,10 +23,18 @@ import numpy as np
 
 from .analysis import export_analysis
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dataio import Corpus, load_manifest, normalize_global, normalize_utterance_meeting, synth_corpus
+from .dataio import (
+    FRAME_SHIFT,
+    Corpus,
+    load_manifest,
+    normalize_global,
+    normalize_utterance_meeting,
+    synth_corpus,
+)
 from .errors import FormatError, MsamError, ValidationError
 from .fbank import FbankConfig
 from .model import build_fbank_model, build_raw_model
+from .network import HIDDEN_DIMS
 from .streams import StreamConfig, desk_scale_config
 from .trainer import FrameDataset, PretrainSchedule, TrainConfig, evaluate_frames, train_model
 
@@ -54,7 +63,12 @@ def parse_model_spec(spec: str) -> dict:
     if family == "F":
         if len(strides) != 1:
             raise ValidationError(f"model spec {spec!r}: FBANK takes one shift and one size")
-        return {"kind": "fbank_dnn", "frame_shift": strides[0], "frame_size": lens[0]}
+        if strides[0] != FRAME_SHIFT:
+            raise ValidationError(
+                f"model spec {spec!r}: the FBANK frame shift must be the "
+                f"{FRAME_SHIFT}-sample label grid, F_{FRAME_SHIFT}^L"
+            )
+        return {"kind": "fbank_dnn", "frame_size": lens[0]}
     if family == "I":
         if len(strides) != 1:
             raise ValidationError(f"model spec {spec!r}: single-span takes exactly one stream")
@@ -62,15 +76,6 @@ def parse_model_spec(spec: str) -> dict:
     if len(strides) < 2:
         raise ValidationError(f"model spec {spec!r}: multi-span requires >= 2 streams")
     return {"kind": "multi_span", "strides": strides, "kernel_lens": lens}
-
-
-def format_model_spec(parsed: dict) -> str:
-    if parsed["kind"] == "fbank_dnn":
-        return f"F_{parsed['frame_shift']}^{parsed['frame_size']}"
-    family = "I" if parsed["kind"] == "single_span" else "M"
-    strides = ",".join(str(v) for v in parsed["strides"])
-    lens = ",".join(str(v) for v in parsed["kernel_lens"])
-    return f"{family}_{strides}^{lens}"
 
 
 def parse_synth_spec(spec: str) -> dict:
@@ -105,18 +110,20 @@ class RunConfig:
     num_classes: Optional[int] = None
     normalization: str = "global"
     scale: str = "paper"  # or "desk"
-    hidden_dims: tuple = (512, 512, 512, 512)
+    hidden_dims: tuple = HIDDEN_DIMS
     stream_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.model and self.model["kind"] == "multi_span" and len(self.model.get("strides", [])) < 2:
-            raise ValidationError("multi_span requires at least two streams")
         if self.synth is None and self.corpus_path is None:
             raise ValidationError("either a corpus manifest or a synth spec is required")
         if self.scale not in ("paper", "desk"):
             raise ValidationError(f"unknown scale {self.scale!r}")
         if self.normalization not in ("global", "utterance_meeting", "none"):
             raise ValidationError(f"unknown normalization {self.normalization!r}")
+        if min(self.hidden_dims, default=1) < 1:
+            raise ValidationError(
+                f"hidden_dims must be positive widths, got {list(self.hidden_dims)}"
+            )
 
     def stream_configs(self) -> List[StreamConfig]:
         configs = []
@@ -131,14 +138,12 @@ class RunConfig:
         return configs
 
 
-_TRAIN_KEYS = {
-    "learning_rate": float, "momentum": float, "weight_decay": float,
-    "batch_size": int, "cv_fraction": float, "max_epochs": int, "seed": int,
-}
+# INI keys and their types, read off the dataclasses; the spec sets the
+# first layer's stride and kernel length.
+_TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig)}
 _STREAM_KEYS = {
-    "first_map_size": int, "first_num_kernels": int, "second_stride": int,
-    "second_kernel_len": int, "second_map_size": int, "second_num_kernels": int,
-    "projection_dim": int,
+    f.name: f.type for f in fields(StreamConfig)
+    if f.name not in ("first_stride", "first_kernel_len")
 }
 # Every INI section and key load_run_config reads; anything else is rejected.
 _CONFIG_KEYS = {
@@ -184,9 +189,7 @@ def load_run_config(args, require_model: bool = True) -> RunConfig:
         for key, cast in _STREAM_KEYS.items()
         if key in sections["model"]
     }
-    hidden_dims = tuple(
-        int(v) for v in sections["model"].get("hidden_dims", "512,512,512,512").split(",")
-    )
+    hidden_dims = sections["model"].get("hidden_dims")
     num_classes = sections["model"].get("num_classes")
     synth = args.synth or sections["data"].get("synth")
     return RunConfig(
@@ -198,7 +201,7 @@ def load_run_config(args, require_model: bool = True) -> RunConfig:
         num_classes=int(num_classes) if num_classes else None,
         normalization=sections["data"].get("normalization", "global"),
         scale=sections["model"].get("scale", "paper"),
-        hidden_dims=hidden_dims,
+        hidden_dims=tuple(int(v) for v in hidden_dims.split(",")) if hidden_dims else HIDDEN_DIMS,
         stream_overrides=stream_overrides,
     )
 
@@ -221,15 +224,20 @@ def cmd_train(run: RunConfig) -> int:
     seed = run.train.seed
     pretrain = None
     if run.model["kind"] == "fbank_dnn":
-        fbank_config = FbankConfig(frame_shift=run.model["frame_shift"],
-                                   frame_size=run.model["frame_size"])
+        fbank_config = FbankConfig(frame_size=run.model["frame_size"])
         model = build_fbank_model(num_classes, fbank_config,
                                   hidden_dims=run.hidden_dims, seed=seed)
     elif run.model["kind"] == "single_span":
         model = build_raw_model("single_span", run.stream_configs(), num_classes,
                                 hidden_dims=run.hidden_dims, seed=seed)
     else:
-        # Multi-span starts at the subnet pretraining stage (no hidden layer).
+        # Multi-span starts at the subnet pretraining stage (no hidden layer),
+        # and each of its two transitions inserts two hidden_dim-wide layers.
+        if len(run.hidden_dims) != 4 or len(set(run.hidden_dims)) != 1:
+            raise ValidationError(
+                f"multi-span hidden_dims must be four equal widths, since pretraining "
+                f"inserts two pairs of equal-width layers; got {list(run.hidden_dims)}"
+            )
         model = build_raw_model("multi_span", run.stream_configs(), num_classes,
                                 hidden_dims=(), seed=seed)
         pretrain = PretrainSchedule(hidden_dim=run.hidden_dims[0], seed=seed)

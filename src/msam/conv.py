@@ -14,24 +14,6 @@ from .errors import GeometryError, GradientShapeError
 
 
 @dataclass
-class Signal:
-    """A mono waveform with its sampling rate."""
-
-    samples: np.ndarray
-    sample_rate: int = 16000
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.samples.ndim != 1 or len(self.samples) < 1:
-            raise ValueError("samples must be a non-empty 1-D array")
-
-    def __len__(self):
-        return len(self.samples)
-
-
-@dataclass
 class KernelBank:
     """Parameters of one convolution layer: K kernels of length L, stride S."""
 

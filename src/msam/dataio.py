@@ -1,17 +1,36 @@
-"""Waveform ingestion, normalization, frame/label alignment and a synthetic
-corpus generator used as a desk-scale substitute for real speech data."""
+"""The 16 kHz / 10 ms frame grid, waveform ingestion, normalization,
+frame/label alignment and a synthetic corpus generator used as a desk-scale
+substitute for real speech data."""
 
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
-from .conv import Signal
 from .errors import DegenerateInputError, FormatError
 
-FRAME_SHIFT = 160  # 10 ms at 16 kHz
+# The frame grid every model reads: 16 kHz audio, one label per 10 ms frame.
+SAMPLE_RATE = 16000
+FRAME_SHIFT = 160
+SEGMENT_LEN = SAMPLE_RATE // 2  # synthetic class segments: 0.5 s, a whole number of frames
+
+
+@dataclass
+class Signal:
+    """A mono waveform sampled at SAMPLE_RATE."""
+
+    samples: np.ndarray
+    sample_rate: ClassVar[int] = SAMPLE_RATE
+
+    def __post_init__(self):
+        self.samples = np.asarray(self.samples)
+        if self.samples.ndim != 1 or len(self.samples) < 1:
+            raise ValueError("samples must be a non-empty 1-D array")
+
+    def __len__(self):
+        return len(self.samples)
 
 
 @dataclass
@@ -54,21 +73,11 @@ def load_wav(path) -> Signal:
             )
         if reader.getcomptype() != "NONE":
             raise FormatError(f"compression: expected PCM, got {reader.getcomptype()}")
-        if reader.getframerate() != 16000:
-            raise FormatError(f"sample_rate: expected 16000, got {reader.getframerate()}")
+        if reader.getframerate() != SAMPLE_RATE:
+            raise FormatError(f"sample_rate: expected {SAMPLE_RATE}, got {reader.getframerate()}")
         raw = reader.readframes(reader.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Signal(samples, 16000)
-
-
-def write_wav(path, signal: Signal):
-    """Write a Signal as 16-bit PCM mono, clipping to the int16 range."""
-    samples = np.clip(np.asarray(signal.samples) * 32768.0, -32768, 32767)
-    with wave.open(str(path), "wb") as writer:
-        writer.setnchannels(1)
-        writer.setsampwidth(2)
-        writer.setframerate(signal.sample_rate)
-        writer.writeframes(samples.astype("<i2").tobytes())
+    return Signal(samples)
 
 
 def normalize_global(corpus: Corpus) -> Corpus:
@@ -80,8 +89,7 @@ def normalize_global(corpus: Corpus) -> Corpus:
         raise DegenerateInputError("corpus has zero sample variance")
     std = np.sqrt(var)
     utterances = [
-        Utterance(u.id, Signal((u.signal.samples - mean) / std, u.signal.sample_rate),
-                  u.labels, u.meeting_id)
+        Utterance(u.id, Signal((u.signal.samples - mean) / std), u.labels, u.meeting_id)
         for u in corpus.utterances
     ]
     return Corpus(utterances, corpus.num_classes,
@@ -104,22 +112,17 @@ def normalize_utterance_meeting(corpus: Corpus) -> Corpus:
             raise DegenerateInputError(f"meeting {meeting} has zero variance")
         meeting_var[meeting] = var
     utterances = [
-        Utterance(
-            u.id,
-            Signal(c / np.sqrt(meeting_var[u.meeting_id]), u.signal.sample_rate),
-            u.labels,
-            u.meeting_id,
-        )
+        Utterance(u.id, Signal(c / np.sqrt(meeting_var[u.meeting_id])), u.labels, u.meeting_id)
         for c, u in zip(centered, corpus.utterances)
     ]
     return Corpus(utterances, corpus.num_classes,
                   {"scheme": "utterance_meeting", "meeting_variances": meeting_var})
 
 
-def class_frequency_triplet(class_index: int, sample_rate: int = 16000) -> Tuple[float, float, float]:
+def class_frequency_triplet(class_index: int) -> Tuple[float, float, float]:
     """Distinct sinusoid frequencies for one synthetic class, below Nyquist."""
     f0 = 400.0 + 350.0 * class_index
-    nyquist = sample_rate / 2.0
+    nyquist = SAMPLE_RATE / 2.0
     return tuple(min(f0 * k, nyquist * 0.95) for k in (1.0, 2.0, 3.0))
 
 
@@ -129,23 +132,18 @@ def synth_corpus(
     duration: float,
     seed: int,
     snr_db: float = 30.0,
-    sample_rate: int = 16000,
-    segment_seconds: float = 0.5,
 ) -> Corpus:
     """Deterministic synthetic corpus of labelled sinusoid mixtures.
 
-    Each utterance is a sequence of segments; each segment carries a class
-    drawn uniformly and its class-specific frequency triplet with a random
-    phase, plus white noise at the requested SNR (snr_db=inf for none).
+    Each utterance is a sequence of SEGMENT_LEN-sample segments; each carries
+    a class drawn uniformly and its class-specific frequency triplet with a
+    random phase, plus white noise at the requested SNR (snr_db=inf for none).
     `duration` is seconds per utterance.
     """
     if num_classes < 1 or num_utterances < 1 or duration <= 0:
         raise ValueError("num_classes, num_utterances and duration must be positive")
     rng = np.random.default_rng(seed)
-    seg_len = int(round(segment_seconds * sample_rate))
-    seg_len -= seg_len % FRAME_SHIFT  # keep segments label-aligned
-    seg_len = max(seg_len, FRAME_SHIFT)
-    total = int(round(duration * sample_rate))
+    total = int(round(duration * SAMPLE_RATE))
     total -= total % FRAME_SHIFT
     utterances = []
     for u in range(num_utterances):
@@ -153,11 +151,11 @@ def synth_corpus(
         labels = np.zeros(total // FRAME_SHIFT, dtype=np.int64)
         pos = 0
         while pos < total:
-            length = min(seg_len, total - pos)
+            length = min(SEGMENT_LEN, total - pos)
             cls = int(rng.integers(num_classes))
-            t = np.arange(length) / sample_rate
+            t = np.arange(length) / SAMPLE_RATE
             seg = np.zeros(length)
-            for f in class_frequency_triplet(cls, sample_rate):
+            for f in class_frequency_triplet(cls):
                 seg += np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
             seg /= 3.0
             if np.isfinite(snr_db):
@@ -167,8 +165,7 @@ def synth_corpus(
             labels[pos // FRAME_SHIFT : (pos + length) // FRAME_SHIFT] = cls
             pos += length
         utterances.append(
-            Utterance(f"synth{u:04d}", Signal(samples, sample_rate), labels,
-                      meeting_id=f"meeting{u % 2}")
+            Utterance(f"synth{u:04d}", Signal(samples), labels, meeting_id=f"meeting{u % 2}")
         )
     return Corpus(utterances, num_classes)
 

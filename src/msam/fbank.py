@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import output_map_size
+from .dataio import FRAME_SHIFT, SAMPLE_RATE
 from .errors import GeometryError
 
 LOG_FLOOR = 1e-10
@@ -17,13 +18,15 @@ LOG_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class FbankConfig:
-    frame_shift: int = 160
+    """Frames of frame_size samples on the FRAME_SHIFT grid at SAMPLE_RATE."""
+
     frame_size: int = 400
     num_filters: int = 40
     fft_size: int = 512
-    sample_rate: int = 16000
 
     def __post_init__(self):
+        if self.frame_size < FRAME_SHIFT:
+            raise ValueError(f"frame_size must be >= the {FRAME_SHIFT}-sample frame shift")
         if self.num_filters < 1:
             raise ValueError("num_filters must be >= 1")
         if self.frame_size > self.fft_size:
@@ -46,10 +49,10 @@ def mel_filterbank(config: FbankConfig) -> np.ndarray:
     Returns a (num_filters, fft_size/2 + 1) non-negative weight matrix;
     each row has one contiguous support.
     """
-    nyquist = config.sample_rate / 2.0
+    nyquist = SAMPLE_RATE / 2.0
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), config.num_filters + 2)
     hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.arange(config.fft_size // 2 + 1) * config.sample_rate / config.fft_size
+    bin_freqs = np.arange(config.fft_size // 2 + 1) * SAMPLE_RATE / config.fft_size
     weights = np.zeros((config.num_filters, len(bin_freqs)))
     for i in range(config.num_filters):
         left, center, right = hz_points[i], hz_points[i + 1], hz_points[i + 2]
@@ -57,13 +60,6 @@ def mel_filterbank(config: FbankConfig) -> np.ndarray:
         falling = (right - bin_freqs) / (right - center)
         weights[i] = np.maximum(0.0, np.minimum(rising, falling))
     return weights
-
-
-def filter_center_frequencies(config: FbankConfig) -> np.ndarray:
-    """Center frequency in Hz of each triangular filter."""
-    nyquist = config.sample_rate / 2.0
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), config.num_filters + 2)
-    return mel_to_hz(mel_points[1:-1])
 
 
 def compute_fbank(signal, config: FbankConfig = FbankConfig()) -> np.ndarray:
@@ -74,18 +70,13 @@ def compute_fbank(signal, config: FbankConfig = FbankConfig()) -> np.ndarray:
             f"signal of {len(samples)} samples is shorter than one "
             f"{config.frame_size}-sample frame"
         )
-    num_frames = output_map_size(len(samples), config.frame_size, config.frame_shift)
+    num_frames = output_map_size(len(samples), config.frame_size, FRAME_SHIFT)
     window = np.hamming(config.frame_size)
-    starts = np.arange(num_frames) * config.frame_shift
+    starts = np.arange(num_frames) * FRAME_SHIFT
     frames = samples[starts[:, None] + np.arange(config.frame_size)] * window
     spectra = np.abs(np.fft.rfft(frames, n=config.fft_size, axis=1))
     energies = spectra @ mel_filterbank(config).T
     return np.log(np.maximum(energies, LOG_FLOOR))
-
-
-def write_features_csv(features: np.ndarray, path) -> None:
-    """Dump a feature matrix as CSV, one frame per row."""
-    np.savetxt(path, np.atleast_2d(features), delimiter=",", fmt="%.9e")
 
 
 def stack_context(features: np.ndarray, num_frames: int = 11) -> np.ndarray:

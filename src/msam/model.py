@@ -13,10 +13,11 @@ from typing import List, Sequence
 import numpy as np
 
 from .conv import conv1d_backward_batch, conv1d_forward_batch
-from .dataio import FRAME_SHIFT
+from .dataio import FRAME_SHIFT, SAMPLE_RATE
 from .errors import GeometryError, ValidationError
 from .fbank import FbankConfig, compute_fbank, stack_context
 from .network import (
+    HIDDEN_DIMS,
     DnnHead,
     cross_entropy_batch,
     head_backward_batch,
@@ -26,7 +27,9 @@ from .network import (
 )
 from .streams import Stream, StreamConfig, gather_windows, init_stream, window_starts
 
-MODEL_KINDS = ("multi_span", "single_span", "fbank_dnn")
+# Checkpoint configs record the frame grid: raw models at the top level,
+# FBANK models inside "fbank".
+_GRID = {"sample_rate": SAMPLE_RATE, "frame_shift": FRAME_SHIFT}
 
 
 def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray):
@@ -86,7 +89,7 @@ def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers) -> np.ndarray
 class RawWaveformModel:
     """CNN streams plus DNN head operating directly on waveform windows."""
 
-    def __init__(self, kind: str, streams: List[Stream], head: DnnHead, sample_rate: int = 16000):
+    def __init__(self, kind: str, streams: List[Stream], head: DnnHead):
         if kind not in ("multi_span", "single_span"):
             raise ValidationError(f"unknown raw-waveform model kind {kind!r}")
         if kind == "single_span" and len(streams) != 1:
@@ -99,7 +102,6 @@ class RawWaveformModel:
         self.kind = kind
         self.streams = streams
         self.head = head
-        self.sample_rate = sample_rate
         if head.input_dim != self.feature_dim:
             raise ValidationError(
                 f"head input dim {head.input_dim} != feature dim {self.feature_dim}"
@@ -211,7 +213,7 @@ class RawWaveformModel:
         return {
             "kind": self.kind,
             "num_classes": self.num_classes,
-            "sample_rate": self.sample_rate,
+            "sample_rate": SAMPLE_RATE,
             "streams": [asdict(s.config) for s in self.streams],
             "hidden_dims": [w.shape[0] for w in self.head.hidden_weights],
         }
@@ -245,11 +247,11 @@ class FbankDnnModel:
     def featurize(self, signal) -> np.ndarray:
         """One stacked feature row per 10ms label frame.
 
-        The signal is zero-padded on the right by frame_size - frame_shift
+        The signal is zero-padded on the right by frame_size - FRAME_SHIFT
         samples so the frame count equals the label count.
         """
         samples = np.asarray(getattr(signal, "samples", signal))
-        pad = self.fbank_config.frame_size - self.fbank_config.frame_shift
+        pad = self.fbank_config.frame_size - FRAME_SHIFT
         padded = np.concatenate([samples, np.zeros(pad, dtype=samples.dtype)])
         feats = compute_fbank(padded, self.fbank_config)
         return stack_context(feats, self.context_frames)
@@ -267,7 +269,7 @@ class FbankDnnModel:
             "kind": self.kind,
             "num_classes": self.num_classes,
             "context_frames": self.context_frames,
-            "fbank": asdict(self.fbank_config),
+            "fbank": {**asdict(self.fbank_config), **_GRID},
             "hidden_dims": [w.shape[0] for w in self.head.hidden_weights],
         }
 
@@ -276,9 +278,8 @@ def build_raw_model(
     kind: str,
     stream_configs: Sequence[StreamConfig],
     num_classes: int,
-    hidden_dims=(512, 512, 512, 512),
+    hidden_dims=HIDDEN_DIMS,
     seed: int = 0,
-    sample_rate: int = 16000,
     dtype=np.float32,
 ) -> RawWaveformModel:
     rng = np.random.default_rng(seed)
@@ -289,14 +290,14 @@ def build_raw_model(
     else:
         feature_dim = stream_configs[0].output_dim
     head = init_head(feature_dim, hidden_dims, num_classes, rng, dtype=dtype)
-    return RawWaveformModel(kind, streams, head, sample_rate=sample_rate)
+    return RawWaveformModel(kind, streams, head)
 
 
 def build_fbank_model(
     num_classes: int,
     fbank_config: FbankConfig = FbankConfig(),
     context_frames: int = 11,
-    hidden_dims=(512, 512, 512, 512),
+    hidden_dims=HIDDEN_DIMS,
     seed: int = 0,
     dtype=np.float32,
 ) -> FbankDnnModel:
@@ -307,13 +308,23 @@ def build_fbank_model(
     return FbankDnnModel(fbank_config, head, context_frames)
 
 
+def _without_grid(config: dict) -> dict:
+    """`config` without its frame-grid keys, which it may hold only at the
+    grid's values; any other value raises ValueError."""
+    for key, value in _GRID.items():
+        if config.get(key, value) != value:
+            raise ValueError(f"{key} {config[key]!r} is not the frame grid's {value}")
+    return {key: value for key, value in config.items() if key not in _GRID}
+
+
 def model_from_config(config: dict, seed: int = 0):
     """Freshly initialized model matching a serialized config."""
     kind = config["kind"]
+    _without_grid(config)
     if kind == "fbank_dnn":
         return build_fbank_model(
             config["num_classes"],
-            FbankConfig(**config["fbank"]),
+            FbankConfig(**_without_grid(config["fbank"])),
             config["context_frames"],
             hidden_dims=config["hidden_dims"],
             seed=seed,
@@ -325,5 +336,4 @@ def model_from_config(config: dict, seed: int = 0):
         config["num_classes"],
         hidden_dims=config["hidden_dims"],
         seed=seed,
-        sample_rate=config.get("sample_rate", 16000),
     )

@@ -8,6 +8,7 @@ import numpy as np
 from .streams import glorot_uniform
 
 CE_PROB_FLOOR = 1e-30
+HIDDEN_DIMS = (512,) * 4  # the paper's head: four ReLU layers of 512 units
 
 
 @dataclass

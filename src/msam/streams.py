@@ -44,7 +44,8 @@ class StreamConfig:
 
     @property
     def input_span(self) -> int:
-        return stream_input_span(self)
+        """Raw samples covered by the stream's receptive field."""
+        return required_span(self.first_map_size, self.first_stride, self.first_kernel_len)
 
     @property
     def output_dim(self) -> int:
@@ -147,11 +148,6 @@ def init_stream(
             dtype,
         )
     return Stream(config, first, second, projection)
-
-
-def stream_input_span(config: StreamConfig) -> int:
-    """Raw samples covered by one stream's receptive field."""
-    return required_span(config.first_map_size, config.first_stride, config.first_kernel_len)
 
 
 def centered_window(samples: np.ndarray, center: int, span: int) -> np.ndarray:

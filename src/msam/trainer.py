@@ -10,10 +10,14 @@ import numpy as np
 from .dataio import FRAME_SHIFT
 from .errors import ValidationError
 from .model import FbankDnnModel
-from .network import cross_entropy_batch
+from .network import HIDDEN_DIMS, cross_entropy_batch
 from .streams import gather_windows, glorot_uniform
 
 PRETRAIN_STAGES = ("subnet", "extended", "full")
+# NewBob+: CV accuracy improvements in percentage points, and the lr decay.
+NEWBOB_START_THRESHOLD = 0.5
+NEWBOB_STOP_THRESHOLD = 0.1
+NEWBOB_DECAY = 0.5
 
 
 @dataclass
@@ -38,22 +42,18 @@ class TrainConfig:
 @dataclass
 class NewBobState:
     """Cross-validation driven learning-rate ramp: once per-epoch improvement
-    falls below the start threshold the rate is halved every epoch, and
-    training stops when improvement falls below the stop threshold."""
+    falls below NEWBOB_START_THRESHOLD the rate is multiplied by NEWBOB_DECAY
+    every epoch, and training stops when improvement falls below
+    NEWBOB_STOP_THRESHOLD."""
 
     current_lr: float
     previous_cv_accuracy: Optional[float] = None
     ramping: bool = False
     stopped: bool = False
-    improvement_threshold_start: float = 0.5  # percentage points
-    improvement_threshold_stop: float = 0.1
-    decay_factor: float = 0.5
 
     def __post_init__(self):
         if self.current_lr <= 0:
             raise ValidationError("current_lr must be positive")
-        if not 0 < self.decay_factor < 1:
-            raise ValidationError("decay_factor must be in (0, 1)")
 
 
 def newbob_update(state: NewBobState, cv_accuracy: float) -> str:
@@ -70,15 +70,15 @@ def newbob_update(state: NewBobState, cv_accuracy: float) -> str:
     improvement = cv_accuracy - state.previous_cv_accuracy
     state.previous_cv_accuracy = cv_accuracy
     if not state.ramping:
-        if improvement < state.improvement_threshold_start:
+        if improvement < NEWBOB_START_THRESHOLD:
             state.ramping = True
-            state.current_lr *= state.decay_factor
+            state.current_lr *= NEWBOB_DECAY
             return "decay_lr"
         return "continue"
-    if improvement < state.improvement_threshold_stop:
+    if improvement < NEWBOB_STOP_THRESHOLD:
         state.stopped = True
         return "stop"
-    state.current_lr *= state.decay_factor
+    state.current_lr *= NEWBOB_DECAY
     return "decay_lr"
 
 
@@ -108,8 +108,7 @@ class PretrainSchedule:
     one epoch after inserting two hidden layers, then the full head."""
 
     stage: str = "subnet"
-    hidden_dim: int = 512
-    epochs_per_stage: int = 1
+    hidden_dim: int = HIDDEN_DIMS[0]
     seed: int = 0
 
     def __post_init__(self):
@@ -300,8 +299,7 @@ def train_model(model, corpus, config: TrainConfig,
         if pretrain.stage != "subnet":
             raise ValidationError("pretraining must start at the 'subnet' stage")
         while pretrain.stage != "full" and state.epoch < config.max_epochs:
-            for _ in range(min(pretrain.epochs_per_stage, config.max_epochs - state.epoch)):
-                run_epoch()
+            run_epoch()
             if state.epoch < config.max_epochs:
                 pretrain_transition(model, pretrain)
                 state.velocity = {}

@@ -1,6 +1,9 @@
+import wave
+
 import numpy as np
 import pytest
 
+from msam.dataio import SAMPLE_RATE
 from msam.model import build_raw_model
 from msam.streams import StreamConfig
 
@@ -25,6 +28,16 @@ def span_model(spans, dtype=np.float64):
     kind = "single_span" if len(spans) == 1 else "multi_span"
     configs = [tiny_stream_config(1, kernel_len=span - 3) for span in spans]
     return build_raw_model(kind, configs, 3, hidden_dims=(), dtype=dtype)
+
+
+def write_wav(path, signal):
+    """Write a Signal as 16-bit PCM mono at SAMPLE_RATE, clipping to the int16 range."""
+    samples = np.clip(np.asarray(signal.samples) * 32768.0, -32768, 32767)
+    with wave.open(str(path), "wb") as writer:
+        writer.setnchannels(1)
+        writer.setsampwidth(2)
+        writer.setframerate(SAMPLE_RATE)
+        writer.writeframes(samples.astype("<i2").tobytes())
 
 
 def randomize_biases(model, rng, scale=0.05):

@@ -218,7 +218,7 @@ class TestAcceptance:
         n = np.arange(50)
         freqs = [5000.0, 250.0, 2000.0, 1000.0]
         spectra = [
-            kernel_spectrum(np.sin(2 * np.pi * f / 16000.0 * n), 512, 16000, i)
+            kernel_spectrum(np.sin(2 * np.pi * f / 16000.0 * n), 512, i)
             for i, f in enumerate(freqs)
         ]
         ok &= sort_by_peak(spectra) == [1, 3, 2, 0]

@@ -6,19 +6,20 @@ from msam.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
-    format_model_spec,
     main,
     parse_model_spec,
     parse_synth_spec,
 )
 from msam.errors import ValidationError
 
+from conftest import write_wav
+
 SYNTH = "classes=3,utterances=3,duration=1.0,seed=5,snr_db=30"
 
 DESK_MODEL_INI = """
 [model]
 scale = desk
-hidden_dims = 16,16
+hidden_dims = 16,16,16,16
 
 [train]
 learning_rate = 0.02
@@ -45,7 +46,16 @@ class TestModelSpecs:
 
     def test_fbank_baseline(self):
         parsed = parse_model_spec("F_160^400")
-        assert parsed == {"kind": "fbank_dnn", "frame_shift": 160, "frame_size": 400}
+        assert parsed == {"kind": "fbank_dnn", "frame_size": 400}
+
+    @pytest.mark.parametrize("spec", ["F_80^400", "F_320^400"])
+    def test_fbank_shift_off_the_frame_grid_rejected(self, tmp_path, capsys, spec):
+        with pytest.raises(ValidationError, match="F_160"):
+            parse_model_spec(spec)
+        assert main(["train", "--model", spec, "--synth", SYNTH,
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "160-sample label grid" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -55,15 +65,6 @@ class TestModelSpecs:
         for bad in ("X_1^2", "I_15", "M^50", "I_a^b", ""):
             with pytest.raises(ValidationError):
                 parse_model_spec(bad)
-
-    @pytest.mark.parametrize(
-        "spec", ["I_15^50", "M_4,9,15^50,50,50", "F_160^400", "M_{4,9}^{50,100}"]
-    )
-    def test_parse_format_parse_fixed_point(self, spec):
-        parsed = parse_model_spec(spec)
-        formatted = format_model_spec(parsed)
-        assert parse_model_spec(formatted) == parsed
-        assert format_model_spec(parse_model_spec(formatted)) == formatted
 
     def test_synth_spec(self):
         parsed = parse_synth_spec(SYNTH)
@@ -111,8 +112,7 @@ class TestTrainCommand:
         assert main(["train", "--model", "I_15^50", "--out", str(tmp_path)]) == EXIT_VALIDATION
 
     def test_negative_label_manifest_is_io_error(self, tmp_path):
-        from msam.conv import Signal
-        from msam.dataio import write_wav
+        from msam.dataio import Signal
 
         write_wav(tmp_path / "u.wav", Signal(np.full(320, 0.1)))
         (tmp_path / "u.labels").write_text("1\n-1\n")
@@ -137,8 +137,7 @@ class TestTrainCommand:
         assert not (out / "model.ckpt").exists() and not (out / "train.log").exists()
 
     def test_one_frame_corpus_is_validation_error(self, tmp_path, capsys):
-        from msam.conv import Signal
-        from msam.dataio import write_wav
+        from msam.dataio import Signal
 
         write_wav(tmp_path / "u.wav", Signal(np.linspace(-0.1, 0.1, 160)))
         (tmp_path / "u.labels").write_text("1\n")
@@ -151,11 +150,39 @@ class TestTrainCommand:
 
 class TestConfigFile:
     @staticmethod
-    def _train(tmp_path, ini):
+    def _train(tmp_path, ini, model="I_15^50"):
         config = tmp_path / "run.ini"
         config.write_text(ini)
-        return main(["train", "--config", str(config), "--model", "I_15^50",
+        return main(["train", "--config", str(config), "--model", model,
                      "--synth", SYNTH, "--out", str(tmp_path / "run")])
+
+    @staticmethod
+    def _hidden_dims(dims):
+        return DESK_MODEL_INI.replace("hidden_dims = 16,16,16,16", f"hidden_dims = {dims}")
+
+    @pytest.mark.parametrize("hidden_dims", ["64,32", "16,16", "8,8,8,4", "8,8,8,8,8"])
+    def test_multi_span_hidden_dims_must_be_four_equal_widths(self, tmp_path, capsys,
+                                                              hidden_dims):
+        assert self._train(tmp_path, self._hidden_dims(hidden_dims),
+                           model="M_4,9^50,50") == EXIT_VALIDATION
+        assert "four equal widths" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("model, hidden_dims", [
+        ("M_4,9^50,50", "0,0,0,0"), ("I_15^50", "16,0"), ("F_160^400", "-4"),
+    ])
+    def test_zero_or_negative_hidden_width_rejected(self, tmp_path, capsys, model, hidden_dims):
+        assert self._train(tmp_path, self._hidden_dims(hidden_dims), model=model) == EXIT_VALIDATION
+        assert "hidden_dims must be positive widths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["I_15^50", "F_160^400"])
+    def test_other_models_keep_any_hidden_dims(self, tmp_path, model):
+        from msam.checkpoint import load_checkpoint
+
+        ini = self._hidden_dims("12,6").replace("max_epochs = 3", "max_epochs = 1")
+        assert self._train(tmp_path, ini, model=model) == EXIT_OK
+        head = load_checkpoint(tmp_path / "run" / "model.ckpt").head
+        assert [w.shape[0] for w in head.hidden_weights] == [12, 6]
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         ini = DESK_MODEL_INI.replace("[train]", "[training]")

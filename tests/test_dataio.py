@@ -3,22 +3,21 @@ import wave
 import numpy as np
 import pytest
 
-from msam.conv import Signal
 from msam.dataio import (
     Corpus,
+    Signal,
     Utterance,
     load_manifest,
     load_wav,
     normalize_global,
     normalize_utterance_meeting,
     synth_corpus,
-    write_wav,
 )
 from msam.errors import DegenerateInputError, FormatError
 from msam.fbank import compute_fbank
 from msam.trainer import FrameDataset
 
-from conftest import span_model
+from conftest import span_model, write_wav
 
 
 def _write_raw_wav(path, samples_int16, channels=1, rate=16000, width=2):

@@ -5,12 +5,7 @@ from msam.conv import output_map_size
 from msam.errors import GeometryError, ValidationError
 from msam.model import RawWaveformModel
 from msam.network import init_head
-from msam.streams import (
-    StreamConfig,
-    centered_window,
-    init_stream,
-    stream_input_span,
-)
+from msam.streams import StreamConfig, centered_window, init_stream
 
 from conftest import tiny_stream_config
 
@@ -21,12 +16,12 @@ class TestStreamGeometry:
     @pytest.mark.parametrize("stride,span", sorted(DEFAULT_SPANS.items()))
     def test_input_span_table_rows(self, stride, span):
         cfg = StreamConfig(first_stride=stride, first_kernel_len=50)
-        assert stream_input_span(cfg) == span
+        assert cfg.input_span == span
 
     def test_span_milliseconds(self):
-        assert round(stream_input_span(StreamConfig(4, 50)) / 16.0) == 53
-        assert round(stream_input_span(StreamConfig(9, 50)) / 16.0) == 115
-        assert round(stream_input_span(StreamConfig(20, 50)) / 16.0) == 252
+        assert round(StreamConfig(4, 50).input_span / 16.0) == 53
+        assert round(StreamConfig(9, 50).input_span / 16.0) == 115
+        assert round(StreamConfig(20, 50).input_span / 16.0) == 252
 
     def test_default_dimension_chain(self):
         cfg = StreamConfig(first_stride=10, first_kernel_len=50)
@@ -158,7 +153,7 @@ class TestMultiSpanForward:
 class TestSingleSpanForward:
     def test_paper_scale_dimensions(self):
         cfg = StreamConfig(first_stride=10, first_kernel_len=50)
-        assert stream_input_span(cfg) == 2040
+        assert cfg.input_span == 2040
         assert cfg.output_dim == 1408
 
     def test_zero_input_zero_output(self, rng):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from msam.checkpoint import load_checkpoint, save_checkpoint
 from msam.cli import EXIT_IO, main
 from msam.errors import FormatError
+from msam.fbank import FbankConfig
 from msam.model import (
     build_fbank_model,
     build_raw_model,
@@ -22,6 +24,7 @@ from msam.network import (
     init_head,
     softmax,
 )
+from msam.streams import gather_windows
 
 from conftest import (
     finite_difference_grads,
@@ -241,11 +244,10 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="name: truncated"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("kind, drop, key", [
-        ("fbank", lambda c: c.pop("context_frames"), "context_frames"),
-        ("multi_span", lambda c: c["streams"][1].pop("first_stride"), "first_stride"),
-    ])
-    def test_config_missing_key_rejected(self, tmp_path, kind, drop, key):
+    @staticmethod
+    def _saved_with_config(tmp_path, kind, edit):
+        """Save a small model of `kind`, then rewrite its config JSON with
+        `edit` and recompute the digest; returns the checkpoint path."""
         if kind == "fbank":
             model = build_fbank_model(3, hidden_dims=(4,), seed=2)
         else:
@@ -256,13 +258,65 @@ class TestCheckpoint:
         blob = path.read_bytes()
         size = int.from_bytes(blob[40:44], "little")
         config = json.loads(blob[44 : 44 + size])
-        drop(config)
+        edit(config)
         encoded = json.dumps(config, sort_keys=True).encode("utf-8")
         path.write_bytes(blob[:8] + hashlib.sha256(encoded).digest()
                          + struct.pack("<I", len(encoded)) + encoded + blob[44 + size :])
+        return path
+
+    @pytest.mark.parametrize("kind, drop, key", [
+        ("fbank", lambda c: c.pop("context_frames"), "context_frames"),
+        ("multi_span", lambda c: c["streams"][1].pop("first_stride"), "first_stride"),
+    ])
+    def test_config_missing_key_rejected(self, tmp_path, kind, drop, key):
+        path = self._saved_with_config(tmp_path, kind, drop)
         with pytest.raises(FormatError, match=key):
             load_checkpoint(path)
         assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == EXIT_IO
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("multi_span", "sample_rate", 8000),
+        ("fbank", "frame_shift", 80),
+        ("fbank", "sample_rate", 8000),
+        ("fbank", "num_filters", 0),
+        ("multi_span", "first_map_size", 0),
+    ])
+    def test_config_value_off_the_grid_or_out_of_range_rejected(self, tmp_path, kind, key, value):
+        def edit(config):
+            if key == "first_map_size":
+                config["streams"][0][key] = value
+            elif kind == "fbank":
+                config["fbank"][key] = value
+            else:
+                config[key] = value
+
+        path = self._saved_with_config(tmp_path, kind, edit)
+        with pytest.raises(FormatError, match=key):
+            load_checkpoint(path)
+        synth = "classes=3,utterances=1,duration=0.5"
+        assert main(["eval", str(path), "--synth", synth]) == EXIT_IO
+
+    @pytest.mark.parametrize("name", ["tiny_multi_span", "tiny_fbank"])
+    def test_committed_v1_checkpoint_loads_and_resaves_identically(self, tmp_path, name):
+        """tests/data holds format-v1 checkpoints written when the sample rate
+        and frame shift were still model fields: a multi-span model
+        (tiny_stream_config strides 1 and 2, hidden (4, 4), seed 5) and an
+        FBANK model (4 filters, 3 context frames, hidden (4,), seed 6), both
+        with randomized biases.  tiny_reference.npz holds the input signal,
+        the multi-span frame centres and both models' float32 probabilities."""
+        data = Path(__file__).parent / "data"
+        reference = np.load(data / "tiny_reference.npz")
+        model = load_checkpoint(data / f"{name}.ckpt")
+        save_checkpoint(tmp_path / "again.ckpt", model)
+        assert (tmp_path / "again.ckpt").read_bytes() == (data / f"{name}.ckpt").read_bytes()
+        signal = reference["signal"]
+        if name == "tiny_fbank":
+            assert model.fbank_config == FbankConfig(num_filters=4)
+            probs, expected = model.forward_batch(model.featurize(signal)), reference["fbank_probs"]
+        else:
+            windows = [gather_windows(signal, reference["centers"], s) for s in model.spans]
+            probs, expected = model.forward_batch(windows), reference["multi_span_probs"]
+        np.testing.assert_array_equal(probs, expected)
 
     def test_payload_larger_than_file_rejected_before_reading(self, tmp_path):
         path, blob = self._saved_blob(tmp_path)

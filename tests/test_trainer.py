@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msam.model
-from msam.conv import Signal, output_map_size
-from msam.dataio import FRAME_SHIFT, Corpus, Utterance, normalize_global, synth_corpus
+from msam.conv import output_map_size
+from msam.dataio import FRAME_SHIFT, Corpus, Signal, Utterance, normalize_global, synth_corpus
 from msam.errors import ValidationError
 from msam.model import build_fbank_model, build_raw_model
 from msam.network import cross_entropy_batch
