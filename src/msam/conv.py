@@ -74,15 +74,19 @@ def conv1d_forward_batch(segments: np.ndarray, bank: KernelBank) -> np.ndarray:
     """
     windows = sliding_windows(segments, bank.kernel_len, bank.stride)
     b, m, l = windows.shape
-    maps = windows.reshape(-1, l) @ bank.weights.T + bank.biases
+    maps = windows.reshape(-1, l) @ bank.weights.T
+    maps += bank.biases
     return maps.reshape(b, m, -1)
 
 
-def conv1d_backward_batch(segments: np.ndarray, bank: KernelBank, upstream: np.ndarray):
+def conv1d_backward_batch(segments: np.ndarray, bank: KernelBank, upstream: np.ndarray,
+                          input_grads: bool = True):
     """Exact gradients of conv1d_forward_batch; upstream has shape (B, M, K).
 
     Returns (weight_grads, bias_grads, input_grads).  Weight and bias
     gradients are summed over the batch; input gradients keep it, (B, T).
+    With `input_grads=False` (a first layer, whose input is data) the input
+    gradients are not computed and None takes their place.
     """
     windows = sliding_windows(segments, bank.kernel_len, bank.stride)
     b, m, l = windows.shape
@@ -94,9 +98,11 @@ def conv1d_backward_batch(segments: np.ndarray, bank: KernelBank, upstream: np.n
     rows = upstream.reshape(-1, bank.num_kernels)
     weight_grads = rows.T @ windows.reshape(-1, l)
     bias_grads = rows.sum(axis=0)
+    if not input_grads:
+        return weight_grads, bias_grads, None
     window_grads = (rows @ bank.weights).reshape(b, m, l)
-    input_grads = np.zeros_like(segments, dtype=upstream.dtype)
+    segment_grads = np.zeros_like(segments, dtype=upstream.dtype)
     s = bank.stride
     for i in range(m):
-        input_grads[:, i * s : i * s + l] += window_grads[:, i]
-    return weight_grads, bias_grads, input_grads
+        segment_grads[:, i * s : i * s + l] += window_grads[:, i]
+    return weight_grads, bias_grads, segment_grads

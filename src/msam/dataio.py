@@ -9,7 +9,7 @@ from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, FormatError
+from .errors import DegenerateInputError, FormatError, ValidationError
 
 # The frame grid every model reads: 16 kHz audio, one label per 10 ms frame.
 SAMPLE_RATE = 16000
@@ -142,6 +142,10 @@ def synth_corpus(
     """
     if num_classes < 1 or num_utterances < 1 or duration <= 0:
         raise ValueError("num_classes, num_utterances and duration must be positive")
+    if not np.isfinite(duration):
+        raise ValidationError(f"synth duration must be finite seconds, got {duration}")
+    if np.isnan(snr_db):
+        raise ValidationError("synth snr_db is NaN; snr_db=inf means no noise")
     rng = np.random.default_rng(seed)
     total = int(round(duration * SAMPLE_RATE))
     total -= total % FRAME_SHIFT

@@ -37,7 +37,7 @@ def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray)
     gradient w.r.t. the features, shape (B, D)."""
     probs, activations = head_forward_batch(head, features)
     loss = cross_entropy_batch(probs, labels)
-    dlogits = probs.copy()
+    dlogits = probs  # the loss is taken, so probs becomes its gradient in place
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
     grads, dfeat = head_backward_batch(head, activations, dlogits)
@@ -47,8 +47,10 @@ def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray)
 def stream_stack(stream: Stream, windows: np.ndarray):
     """conv1 -> ReLU -> conv2 -> ReLU of a (B, span) window batch: the
     frame-major conv1 maps (B, M1, K1) and the outputs (B, output_dim)."""
-    y = np.maximum(conv1d_forward_batch(windows, stream.first_layer), 0)
-    o = np.maximum(conv1d_forward_batch(y.reshape(len(windows), -1), stream.second_layer), 0)
+    y = conv1d_forward_batch(windows, stream.first_layer)
+    np.maximum(y, 0, out=y)
+    o = conv1d_forward_batch(y.reshape(len(windows), -1), stream.second_layer)
+    np.maximum(o, 0, out=o)
     return y, o.reshape(len(windows), -1)
 
 
@@ -76,12 +78,14 @@ def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers) -> np.ndarray
     keys = (pos % s) * len(buffer) + pos  # phase-major; key mod len(buffer) is the position
     distinct = sorted_distinct(keys)
     windows = np.lib.stride_tricks.sliding_window_view(buffer, cfg.first_kernel_len)
-    y = np.maximum(conv1d_forward_batch(windows[distinct % len(buffer)], stream.first_layer), 0)
+    y = conv1d_forward_batch(windows[distinct % len(buffer)], stream.first_layer)
+    np.maximum(y, 0, out=y)
     row0 = np.searchsorted(distinct, keys[:, 0])
     flat = cfg.first_num_kernels * row0[:, None] + cfg.second_stride * np.arange(cfg.second_map_size)
     distinct2 = sorted_distinct(flat)
     windows2 = np.lib.stride_tricks.sliding_window_view(y.reshape(-1), cfg.second_kernel_len)
-    o = np.maximum(conv1d_forward_batch(windows2[distinct2], stream.second_layer), 0)
+    o = conv1d_forward_batch(windows2[distinct2], stream.second_layer)
+    np.maximum(o, 0, out=o)
     o = o.reshape(len(distinct2), -1)[np.searchsorted(distinct2, flat)]
     return o.reshape(len(starts), -1)
 
@@ -199,12 +203,15 @@ class RawWaveformModel:
                 dim = stream.config.output_dim
                 do = dfeat[:, offset : offset + dim]
             offset += dim
-            do = (do * (o > 0)).reshape(len(w), -1, stream.config.second_num_kernels)
+            do *= o > 0
+            do = do.reshape(len(w), -1, stream.config.second_num_kernels)
             dw2, db2, dy = conv1d_backward_batch(y.reshape(len(w), -1), stream.second_layer, do)
             grads[f"stream{i}.conv2.weights"] = dw2
             grads[f"stream{i}.conv2.biases"] = db2
-            dy = dy.reshape(y.shape) * (y > 0)
-            dw1, db1, _ = conv1d_backward_batch(w, stream.first_layer, dy)
+            dy = dy.reshape(y.shape)
+            dy *= y > 0
+            # conv1's input is the waveform: its gradient would be discarded.
+            dw1, db1, _ = conv1d_backward_batch(w, stream.first_layer, dy, input_grads=False)
             grads[f"stream{i}.conv1.weights"] = dw1
             grads[f"stream{i}.conv1.biases"] = db1
         return loss, grads

@@ -61,9 +61,10 @@ def init_head(
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax (max-logit subtraction)."""
     logits = np.asarray(logits)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    probs = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def head_forward_batch(head: DnnHead, x: np.ndarray):
@@ -71,9 +72,12 @@ def head_forward_batch(head: DnnHead, x: np.ndarray):
     activations = [x]
     h = x
     for w, b in zip(head.hidden_weights, head.hidden_biases):
-        h = np.maximum(h @ w.T + b, 0)
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0, out=h)
         activations.append(h)
-    logits = h @ head.output_weight.T + head.output_bias
+    logits = h @ head.output_weight.T
+    logits += head.output_bias
     return softmax(logits), activations
 
 
@@ -96,7 +100,7 @@ def head_backward_batch(head: DnnHead, activations, dlogits: np.ndarray):
     grads["head.output.bias"] = dlogits.sum(axis=0)
     dh = dlogits @ head.output_weight
     for j in range(head.num_hidden - 1, -1, -1):
-        dh = dh * (activations[j + 1] > 0)
+        dh *= activations[j + 1] > 0
         grads[f"head.hidden{j}.weight"] = dh.T @ activations[j]
         grads[f"head.hidden{j}.bias"] = dh.sum(axis=0)
         dh = dh @ head.hidden_weights[j]

@@ -87,6 +87,8 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
     """One momentum SGD update, in place:
 
         v <- momentum * v - lr * (g + weight_decay * w);  w <- w + v
+
+    The step is built in one buffer in that expression's rounding order.
     """
     for name, w in params.items():
         g = grads[name]
@@ -95,8 +97,11 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
         v = velocity.get(name)
         if v is None:
             v = np.zeros_like(w)
+        step = w * weight_decay
+        step += g
+        step *= lr
         v *= momentum
-        v -= (lr * (g + weight_decay * w)).astype(w.dtype)
+        v -= step
         velocity[name] = v
         w += v
     return velocity
@@ -164,9 +169,13 @@ class FrameDataset:
         self.labels = np.concatenate([u.labels for u in corpus.utterances])
         self.dtype = model.head.output_weight.dtype
         if isinstance(model, FbankDnnModel):
-            self.features = np.concatenate(
-                [model.featurize(u.signal) for u in corpus.utterances]
-            ).astype(self.dtype)
+            # Filled one utterance at a time: the whole corpus is never
+            # staged in featurize's float64.
+            self.features = np.empty((len(self.labels), model.feature_dim), dtype=self.dtype)
+            row = 0
+            for u in corpus.utterances:
+                self.features[row : row + u.num_frames] = model.featurize(u.signal)
+                row += u.num_frames
             self.spans = None
         else:
             self.features = None

@@ -136,6 +136,20 @@ class TestTrainCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists() and not (out / "train.log").exists()
 
+    @pytest.mark.parametrize("synth, field", [
+        ("classes=3,utterances=1,duration=inf", "duration"),
+        ("classes=3,utterances=1,duration=nan", "duration"),
+        ("classes=3,utterances=1,duration=0.5,snr_db=nan", "snr_db"),
+    ])
+    def test_non_finite_synth_spec_is_validation_error(self, tmp_path, capsys, synth, field):
+        """An infinite duration overflowed in synth_corpus with a traceback, and
+        a NaN snr_db silently meant no noise (only snr_db=inf means that)."""
+        out = tmp_path / "run"
+        assert main(["train", "--model", "I_15^50", "--synth", synth,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"synth {field}" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     def test_one_frame_corpus_is_validation_error(self, tmp_path, capsys):
         from msam.dataio import Signal
 

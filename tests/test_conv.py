@@ -109,6 +109,14 @@ class TestForward:
         separate = a * conv1d_forward_batch(x, bank) + b * conv1d_forward_batch(z, bank)
         np.testing.assert_allclose(combined, separate, atol=1e-9)
 
+    def test_leaves_arguments_unchanged(self, rng):
+        bank = random_bank(rng, 3, 5, 2)
+        x = rng.normal(size=(2, 21))
+        before = x.copy(), bank.weights.copy(), bank.biases.copy()
+        conv1d_forward_batch(x, bank)
+        for after, old in zip((x, bank.weights, bank.biases), before):
+            np.testing.assert_array_equal(after, old)
+
     def test_stride_one_full_span_is_valid_correlation(self, rng):
         kernel = rng.normal(size=9)
         x = rng.normal(size=(3, 40))
@@ -216,3 +224,16 @@ class TestBackward:
             loss, {"w": bank.weights, "b": bank.biases, "x": x}
         )
         assert max_relative_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, l, s, t", [(2, 5, 3, 20), (4, 50, 4, 146), (1, 4, 1, 4)])
+    def test_weight_only_backward_is_bitwise_the_full_backward(self, rng, dtype, k, l, s, t):
+        bank = KernelBank(rng.normal(size=(k, l)).astype(dtype), rng.normal(size=k).astype(dtype), s)
+        x = rng.normal(size=(3, t)).astype(dtype)
+        upstream = rng.normal(size=(3, output_map_size(t, l, s), k)).astype(dtype)
+        dw, db, dx = conv1d_backward_batch(x, bank, upstream)
+        dw_only, db_only, none = conv1d_backward_batch(x, bank, upstream, input_grads=False)
+        assert none is None and dx is not None
+        assert dw_only.dtype == dw.dtype and db_only.dtype == db.dtype
+        np.testing.assert_array_equal(dw_only, dw)
+        np.testing.assert_array_equal(db_only, db)

@@ -2,14 +2,17 @@ import hashlib
 import json
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msam.model
 from msam.checkpoint import load_checkpoint, save_checkpoint
 from msam.cli import EXIT_IO, main
+from msam.conv import conv1d_backward_batch
 from msam.errors import FormatError
 from msam.fbank import FbankConfig
 from msam.model import (
@@ -21,10 +24,11 @@ from msam.network import (
     DnnHead,
     cross_entropy_batch,
     head_forward_batch,
+    head_params,
     init_head,
     softmax,
 )
-from msam.streams import gather_windows
+from msam.streams import desk_scale_config, gather_windows
 
 from conftest import (
     finite_difference_grads,
@@ -76,6 +80,17 @@ class TestDnnForward:
         logits = np.random.default_rng(seed).uniform(-50, 50, size=(3, 7))
         probs = softmax(logits)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_softmax_and_head_forward_leave_arguments_unchanged(self, rng):
+        head = init_head(6, (4, 4), 5, rng, dtype=np.float32)
+        x = rng.normal(size=(3, 6)).astype(np.float32)
+        logits = rng.normal(size=(3, 5)).astype(np.float32)
+        arrays = [x, logits, *head_params(head).values()]
+        before = [a.copy() for a in arrays]
+        softmax(logits)
+        head_forward_batch(head, x)
+        for after, old in zip(arrays, before):
+            np.testing.assert_array_equal(after, old)
 
 
 class TestCrossEntropy:
@@ -165,6 +180,27 @@ class TestModelBackward:
 
         numeric = finite_difference_grads(loss, model.params(), step=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("kind, configs", [
+        ("single_span", [tiny_stream_config(3)]),
+        ("multi_span", [tiny_stream_config(s) for s in (2, 3, 4)]),
+        ("single_span", [desk_scale_config(15, 50)]),
+        ("multi_span", [desk_scale_config(s, 50) for s in (4, 9, 15)]),
+    ], ids=["tiny-single", "tiny-multi", "desk-single", "desk-multi"])
+    def test_input_gradients_asked_of_conv2_only(self, rng, kind, configs):
+        """conv1 reads the waveform, so its backward computes weight and bias
+        gradients only; conv2's input gradients feed conv1's."""
+        model = build_raw_model(kind, configs, 3, hidden_dims=(4,), seed=3)
+        windows = [rng.uniform(-1, 1, size=(4, span)) for span in model.spans]
+        labels = np.array([0, 1, 2, 1])
+        with mock.patch.object(msam.model, "conv1d_backward_batch",
+                               wraps=conv1d_backward_batch) as spy:
+            model.loss_and_grads(windows, labels)
+        asked = [(id(c.args[1]), c.kwargs.get("input_grads", True)) for c in spy.call_args_list]
+        expected = []
+        for stream in model.streams:
+            expected += [(id(stream.second_layer), True), (id(stream.first_layer), False)]
+        assert asked == expected
 
     def test_fbank_head_finite_difference(self, rng):
         from msam.fbank import FbankConfig

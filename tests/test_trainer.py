@@ -1,4 +1,6 @@
+import tracemalloc
 from math import lcm
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msam.model
+from msam.checkpoint import save_checkpoint
 from msam.conv import output_map_size
 from msam.dataio import FRAME_SHIFT, Corpus, Signal, Utterance, normalize_global, synth_corpus
 from msam.errors import ValidationError
+from msam.fbank import FbankConfig
 from msam.model import build_fbank_model, build_raw_model
 from msam.network import cross_entropy_batch
 from msam.streams import StreamConfig, centered_window, desk_scale_config
@@ -219,7 +223,29 @@ class TestTrainEpoch:
         assert len(state.train_idx) + len(state.cv_idx) == len(state.dataset)
 
 
+def traced_peak(fn):
+    """fn's result and the peak bytes traced while it ran, the result included."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFrameDataset:
+    def test_fbank_features_built_without_staging_the_corpus(self):
+        """Building FBANK rows holds the model-dtype result plus one
+        utterance's featurize work at a time, never the whole corpus in
+        featurize's float64."""
+        corpus = normalize_global(synth_corpus(3, 16, 1.0, seed=2))
+        model = build_fbank_model(3, hidden_dims=(8,), seed=0)
+        expected = np.concatenate([model.featurize(u.signal) for u in corpus.utterances])
+        _, one_utterance = traced_peak(lambda: model.featurize(corpus.utterances[0].signal))
+        dataset, peak = traced_peak(lambda: FrameDataset(model, corpus))
+        assert dataset.features.dtype == np.float32
+        np.testing.assert_array_equal(dataset.features, expected.astype(np.float32))
+        assert peak <= dataset.features.nbytes + one_utterance + 2**18
+
     @given(
         lengths=st.lists(st.integers(1, 1200), min_size=1, max_size=4),
         spans=st.lists(st.integers(4, 700), min_size=1, max_size=3),
@@ -435,3 +461,33 @@ class TestTrainModel:
         with pytest.raises(ValidationError):
             train_model(model, small_corpus, TrainConfig(max_epochs=3),
                         pretrain=PretrainSchedule(stage="extended"))
+
+
+def trained_guard_model(kind):
+    """Train the tiny model of the bit-identity guard: a multi-span model
+    (tiny_stream_config strides 2 and 3, pretraining with hidden_dim 4) or
+    an FBANK model (4 filters, hidden (4, 4)), 2 epochs of train_model with
+    batches of 16 on a fixed synthetic corpus."""
+    corpus = normalize_global(synth_corpus(3, 2, 0.5, seed=11))
+    config = TrainConfig(batch_size=16, max_epochs=2, seed=5)
+    if kind == "multi_span":
+        model = build_raw_model("multi_span", [tiny_stream_config(s) for s in (2, 3)], 3,
+                                hidden_dims=(), seed=5)
+        train_model(model, corpus, config, pretrain=PretrainSchedule(hidden_dim=4, seed=5))
+    else:
+        model = build_fbank_model(3, FbankConfig(num_filters=4), hidden_dims=(4, 4), seed=5)
+        train_model(model, corpus, config)
+    return model
+
+
+class TestBitIdenticalTraining:
+    @pytest.mark.parametrize("kind", ["multi_span", "fbank"])
+    def test_retrained_checkpoint_is_byte_identical(self, tmp_path, kind):
+        """tests/data/trained_{multi_span,fbank}.ckpt were written by
+        `trained_guard_model` with the code that still computed conv1's input
+        gradients and ran every bias, ReLU, mask, softmax and SGD pass out of
+        place.  Retraining must reproduce them byte for byte: every rewrite
+        of the training step keeps the float operations and their order."""
+        save_checkpoint(tmp_path / "model.ckpt", trained_guard_model(kind))
+        expected = Path(__file__).parent / "data" / f"trained_{kind}.ckpt"
+        assert (tmp_path / "model.ckpt").read_bytes() == expected.read_bytes()
