@@ -20,7 +20,8 @@ class KernelSpectrum:
     peak_frequency: float  # Hz
 
 
-def kernel_spectrum(kernel, fft_size: int = 512, kernel_index: int = 0) -> KernelSpectrum:
+def kernel_spectrum(kernel, fft_size: int = FbankConfig.fft_size,
+                    kernel_index: int = 0) -> KernelSpectrum:
     """Zero-padded magnitude spectrum of one kernel.
 
     The peak frequency is reported at the raw sampling rate SAMPLE_RATE:
@@ -70,10 +71,10 @@ def _write_csv(path: Path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def export_analysis(model, out_dir, fft_size: int = 512,
-                    energy_fraction: float = 0.99) -> List[Path]:
+def export_analysis(model, out_dir) -> List[Path]:
     """Write per-stream sorted spectra and effective-length CSVs plus a Mel
-    filterbank reference; returns the paths written."""
+    filterbank reference, all at the default FFT size and energy fraction;
+    returns the paths written."""
     if not hasattr(model, "streams"):
         raise ValidationError("no waveform kernels to analyze")
     out_dir = Path(out_dir)
@@ -81,10 +82,7 @@ def export_analysis(model, out_dir, fft_size: int = 512,
     paths = []
     for i, stream in enumerate(model.streams):
         kernels = stream.first_layer.weights
-        spectra = [
-            kernel_spectrum(k, fft_size, kernel_index=j)
-            for j, k in enumerate(kernels)
-        ]
+        spectra = [kernel_spectrum(k, kernel_index=j) for j, k in enumerate(kernels)]
         order = sort_by_peak(spectra)
         spectra_path = out_dir / f"spectra_stream{i}.csv"
         _write_csv(
@@ -95,12 +93,12 @@ def export_analysis(model, out_dir, fft_size: int = 512,
         lengths_path = out_dir / f"effective_lengths_stream{i}.csv"
         _write_csv(
             lengths_path,
-            [[j, effective_kernel_length(kernels[j], energy_fraction)]
+            [[j, effective_kernel_length(kernels[j])]
              for j in range(len(kernels))],
         )
         paths.extend([spectra_path, lengths_path])
     mel_path = out_dir / "mel_reference.csv"
-    mel = mel_filterbank(FbankConfig(fft_size=fft_size))
+    mel = mel_filterbank(FbankConfig())
     _write_csv(mel_path, [[f"{v:.9e}" for v in row] for row in mel])
     paths.append(mel_path)
     return paths

@@ -100,6 +100,13 @@ def parse_synth_spec(spec: str) -> dict:
         raise ValidationError(f"synth spec: {exc}") from exc
 
 
+# Each scale builds a stream from the spec's first-layer stride and kernel
+# length; each normalization maps a corpus to the corpus training sees.
+_SCALES = {"paper": StreamConfig, "desk": desk_scale_config}
+_NORMALIZATIONS = {"global": normalize_global, "utterance_meeting": normalize_utterance_meeting,
+                   "none": lambda corpus: corpus}
+
+
 @dataclass
 class RunConfig:
     model: Optional[dict]
@@ -109,45 +116,31 @@ class RunConfig:
     out_dir: str = "out"
     num_classes: Optional[int] = None
     normalization: str = "global"
-    scale: str = "paper"  # or "desk"
+    scale: str = "paper"
     hidden_dims: tuple = HIDDEN_DIMS
-    stream_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.synth is None and self.corpus_path is None:
             raise ValidationError("either a corpus manifest or a synth spec is required")
-        if self.scale not in ("paper", "desk"):
-            raise ValidationError(f"unknown scale {self.scale!r}")
-        if self.normalization not in ("global", "utterance_meeting", "none"):
-            raise ValidationError(f"unknown normalization {self.normalization!r}")
+        for name, table in (("scale", _SCALES), ("normalization", _NORMALIZATIONS)):
+            value = getattr(self, name)
+            if value not in table:
+                raise ValidationError(f"unknown {name} {value!r}; expected one of {sorted(table)}")
         if min(self.hidden_dims, default=1) < 1:
             raise ValidationError(
                 f"hidden_dims must be positive widths, got {list(self.hidden_dims)}"
             )
 
     def stream_configs(self) -> List[StreamConfig]:
-        configs = []
-        for s, l in zip(self.model["strides"], self.model["kernel_lens"]):
-            if self.scale == "desk":
-                base = desk_scale_config(s, l)
-                merged = {**base.__dict__, **self.stream_overrides}
-                configs.append(StreamConfig(**merged))
-            else:
-                configs.append(StreamConfig(first_stride=s, first_kernel_len=l,
-                                            **self.stream_overrides))
-        return configs
+        return [_SCALES[self.scale](s, l)
+                for s, l in zip(self.model["strides"], self.model["kernel_lens"])]
 
 
-# INI keys and their types, read off the dataclasses; the spec sets the
-# first layer's stride and kernel length.
+# INI keys; the [train] keys and their types are read off TrainConfig.
 _TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig)}
-_STREAM_KEYS = {
-    f.name: f.type for f in fields(StreamConfig)
-    if f.name not in ("first_stride", "first_kernel_len")
-}
 # Every INI section and key load_run_config reads; anything else is rejected.
 _CONFIG_KEYS = {
-    "model": {"spec", "scale", "hidden_dims", "num_classes", *_STREAM_KEYS},
+    "model": {"spec", "scale", "hidden_dims", "num_classes"},
     "train": set(_TRAIN_KEYS),
     "data": {"corpus", "synth", "normalization"},
 }
@@ -158,8 +151,7 @@ def load_run_config(args, require_model: bool = True) -> RunConfig:
     parser = configparser.ConfigParser()
     sections = {name: {} for name in _CONFIG_KEYS}
     if args.config:
-        read = parser.read(args.config)
-        if not read:
+        if not parser.read(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
         unknown = sorted(set(parser.sections()) - set(_CONFIG_KEYS))
         if unknown:
@@ -172,38 +164,28 @@ def load_run_config(args, require_model: bool = True) -> RunConfig:
                 unknown = sorted(set(sections[name]) - known)
                 if unknown:
                     raise ValidationError(f"config [{name}]: unknown key(s) {unknown}")
-    model_spec = getattr(args, "model", None) or sections["model"].get("spec")
-    if require_model and not model_spec:
+    model, data = sections["model"], sections["data"]
+    spec = getattr(args, "model", None) or model.get("spec")
+    if require_model and not spec:
         raise ValidationError("no model spec given (--model or [model] spec)")
-    train_kwargs = {
-        key: cast(sections["train"][key])
-        for key, cast in _TRAIN_KEYS.items()
-        if key in sections["train"]
+    train = {key: cast(sections["train"][key])
+             for key, cast in _TRAIN_KEYS.items() if key in sections["train"]}
+    for key, value in (("seed", args.seed), ("max_epochs", args.epochs)):
+        if value is not None:
+            train[key] = value
+    synth, hidden_dims = args.synth or data.get("synth"), model.get("hidden_dims")
+    settings = {
+        "corpus_path": args.corpus or data.get("corpus"),
+        "synth": parse_synth_spec(synth) if synth else None,
+        "out_dir": args.out,
+        "num_classes": int(model["num_classes"]) if model.get("num_classes") else None,
+        "normalization": data.get("normalization"),
+        "scale": model.get("scale"),
+        "hidden_dims": tuple(int(v) for v in hidden_dims.split(",")) if hidden_dims else None,
     }
-    if args.seed is not None:
-        train_kwargs["seed"] = args.seed
-    if args.epochs is not None:
-        train_kwargs["max_epochs"] = args.epochs
-    stream_overrides = {
-        key: cast(sections["model"][key])
-        for key, cast in _STREAM_KEYS.items()
-        if key in sections["model"]
-    }
-    hidden_dims = sections["model"].get("hidden_dims")
-    num_classes = sections["model"].get("num_classes")
-    synth = args.synth or sections["data"].get("synth")
-    return RunConfig(
-        model=parse_model_spec(model_spec) if model_spec else None,
-        train=TrainConfig(**train_kwargs),
-        corpus_path=args.corpus or sections["data"].get("corpus"),
-        synth=parse_synth_spec(synth) if synth else None,
-        out_dir=args.out or "out",
-        num_classes=int(num_classes) if num_classes else None,
-        normalization=sections["data"].get("normalization", "global"),
-        scale=sections["model"].get("scale", "paper"),
-        hidden_dims=tuple(int(v) for v in hidden_dims.split(",")) if hidden_dims else HIDDEN_DIMS,
-        stream_overrides=stream_overrides,
-    )
+    # A setting that neither the file nor a flag gives keeps RunConfig's default.
+    return RunConfig(model=parse_model_spec(spec) if spec else None, train=TrainConfig(**train),
+                     **{key: value for key, value in settings.items() if value is not None})
 
 
 def prepare_corpus(run: RunConfig) -> Corpus:
@@ -211,11 +193,7 @@ def prepare_corpus(run: RunConfig) -> Corpus:
         corpus = synth_corpus(**run.synth)
     else:
         corpus = load_manifest(run.corpus_path, num_classes=run.num_classes)
-    if run.normalization == "global":
-        corpus = normalize_global(corpus)
-    elif run.normalization == "utterance_meeting":
-        corpus = normalize_utterance_meeting(corpus)
-    return corpus
+    return _NORMALIZATIONS[run.normalization](corpus)
 
 
 def cmd_train(run: RunConfig) -> int:
@@ -224,23 +202,22 @@ def cmd_train(run: RunConfig) -> int:
     seed = run.train.seed
     pretrain = None
     if run.model["kind"] == "fbank_dnn":
-        fbank_config = FbankConfig(frame_size=run.model["frame_size"])
-        model = build_fbank_model(num_classes, fbank_config,
+        model = build_fbank_model(num_classes, FbankConfig(frame_size=run.model["frame_size"]),
                                   hidden_dims=run.hidden_dims, seed=seed)
-    elif run.model["kind"] == "single_span":
-        model = build_raw_model("single_span", run.stream_configs(), num_classes,
-                                hidden_dims=run.hidden_dims, seed=seed)
     else:
-        # Multi-span starts at the subnet pretraining stage (no hidden layer),
-        # and each of its two transitions inserts two hidden_dim-wide layers.
-        if len(run.hidden_dims) != 4 or len(set(run.hidden_dims)) != 1:
-            raise ValidationError(
-                f"multi-span hidden_dims must be four equal widths, since pretraining "
-                f"inserts two pairs of equal-width layers; got {list(run.hidden_dims)}"
-            )
-        model = build_raw_model("multi_span", run.stream_configs(), num_classes,
-                                hidden_dims=(), seed=seed)
-        pretrain = PretrainSchedule(hidden_dim=run.hidden_dims[0], seed=seed)
+        hidden_dims = run.hidden_dims
+        if run.model["kind"] == "multi_span":
+            # Multi-span starts at the subnet pretraining stage (no hidden layer),
+            # and each of its two transitions inserts two hidden_dim-wide layers.
+            if len(hidden_dims) != 4 or len(set(hidden_dims)) != 1:
+                raise ValidationError(
+                    f"multi-span hidden_dims must be four equal widths, since pretraining "
+                    f"inserts two pairs of equal-width layers; got {list(hidden_dims)}"
+                )
+            pretrain = PretrainSchedule(hidden_dim=hidden_dims[0], seed=seed)
+            hidden_dims = ()
+        model = build_raw_model(run.model["kind"], run.stream_configs(), num_classes,
+                                hidden_dims=hidden_dims, seed=seed)
     log = train_model(model, corpus, run.train, pretrain=pretrain)
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -313,17 +290,12 @@ def main(argv=None) -> int:
             run = load_run_config(args, require_model=False)
             return cmd_eval(args.checkpoint, run)
         return cmd_analyze(args.checkpoint, args.out)
-    except (ValidationError, ValueError) as exc:
+    except (MsamError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MsamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (OSError, FormatError)):
+            return EXIT_IO
+        if isinstance(exc, FloatingPointError):
+            return EXIT_NUMERICAL
         return EXIT_VALIDATION
 
 

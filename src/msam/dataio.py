@@ -2,6 +2,7 @@
 frame/label alignment and a synthetic corpus generator used as a desk-scale
 substitute for real speech data."""
 
+import re
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,8 +63,9 @@ def load_wav(path) -> Signal:
     """Read a 16-bit PCM mono 16 kHz RIFF/WAVE file, scaled to [-1, 1)."""
     try:
         reader = wave.open(str(path), "rb")
-    except wave.Error as exc:
-        raise FormatError(f"not a RIFF/WAVE file: {exc}") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        reason = str(exc) or "a chunk is cut short or overruns its parent"
+        raise FormatError(f"header: not a RIFF/WAVE file: {reason}") from exc
     with reader:
         if reader.getnchannels() != 1:
             raise FormatError(f"channels: expected mono, got {reader.getnchannels()}")
@@ -75,7 +77,12 @@ def load_wav(path) -> Signal:
             raise FormatError(f"compression: expected PCM, got {reader.getcomptype()}")
         if reader.getframerate() != SAMPLE_RATE:
             raise FormatError(f"sample_rate: expected {SAMPLE_RATE}, got {reader.getframerate()}")
-        raw = reader.readframes(reader.getnframes())
+        frames = reader.getnframes()
+        raw = reader.readframes(frames)
+    if frames == 0:
+        raise FormatError("data: the data chunk holds no samples")
+    if len(raw) != 2 * frames:
+        raise FormatError(f"data: {len(raw)} bytes where the header declares {frames} samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Signal(samples)
 
@@ -174,14 +181,39 @@ def synth_corpus(
     return Corpus(utterances, num_classes)
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file's contents; any other byte sequence is a FormatError."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path} line {line_no}: not UTF-8 text") from exc
+
+
+def _read_labels(path) -> np.ndarray:
+    """One integer class index per non-blank line."""
+    labels = []
+    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
+        token = line.strip()
+        if token and not re.fullmatch(r"[+-]?[0-9]{1,18}", token):  # always fits int64
+            raise FormatError(
+                f"labels: {path} line {line_no}: {token!r} is not an integer class index"
+            )
+        if token:
+            labels.append(int(token))
+    return np.array(labels, dtype=np.int64)
+
+
 def load_manifest(path, num_classes: Optional[int] = None) -> Corpus:
     """Corpus from a tab-separated manifest: wav path, label path, meeting id.
 
-    Label files carry one integer per line, one per 10 ms frame.
+    Label files carry one integer per line, one per 10 ms frame.  A missing
+    or malformed file that a line names is a FormatError naming that line.
     """
     path = Path(path)
     utterances = []
-    for line_no, line in enumerate(path.read_text().splitlines(), 1):
+    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -191,9 +223,15 @@ def load_manifest(path, num_classes: Optional[int] = None) -> Corpus:
                 f"manifest line {line_no}: expected 3 tab-separated fields, got {len(fields)}"
             )
         wav_path, label_path, meeting_id = fields
-        signal = load_wav(path.parent / wav_path)
-        labels = np.loadtxt(path.parent / label_path, dtype=np.int64, ndmin=1)
+        try:
+            signal = load_wav(path.parent / wav_path)
+            labels = _read_labels(path.parent / label_path)
+        except (FormatError, OSError, ValueError) as exc:  # ValueError: a NUL in a path
+            raise FormatError(f"manifest line {line_no}: {exc}") from exc
         expected = len(signal) // FRAME_SHIFT
+        if expected == 0:
+            raise FormatError(f"manifest line {line_no}: {wav_path} has {len(signal)} samples, "
+                              f"fewer than one {FRAME_SHIFT}-sample frame")
         if len(labels) != expected:
             raise FormatError(
                 f"labels: {label_path} has {len(labels)} entries, expected {expected} "

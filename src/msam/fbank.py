@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import output_map_size
+from .conv import sliding_windows
 from .dataio import FRAME_SHIFT, SAMPLE_RATE
-from .errors import GeometryError
 
 LOG_FLOOR = 1e-10
 
@@ -63,17 +62,11 @@ def mel_filterbank(config: FbankConfig) -> np.ndarray:
 
 
 def compute_fbank(signal, config: FbankConfig = FbankConfig()) -> np.ndarray:
-    """Log Mel energies per frame, shape (num_frames, num_filters)."""
+    """Log Mel energies per frame, shape (num_frames, num_filters); a signal
+    shorter than one frame is a GeometryError from `sliding_windows`."""
     samples = np.asarray(getattr(signal, "samples", signal), dtype=np.float64)
-    if len(samples) < config.frame_size:
-        raise GeometryError(
-            f"signal of {len(samples)} samples is shorter than one "
-            f"{config.frame_size}-sample frame"
-        )
-    num_frames = output_map_size(len(samples), config.frame_size, FRAME_SHIFT)
     window = np.hamming(config.frame_size)
-    starts = np.arange(num_frames) * FRAME_SHIFT
-    frames = samples[starts[:, None] + np.arange(config.frame_size)] * window
+    frames = sliding_windows(samples, config.frame_size, FRAME_SHIFT) * window
     spectra = np.abs(np.fft.rfft(frames, n=config.fft_size, axis=1))
     energies = spectra @ mel_filterbank(config).T
     return np.log(np.maximum(energies, LOG_FLOOR))

@@ -112,13 +112,9 @@ class PretrainSchedule:
     """Layer-by-layer pretraining: one epoch on a head with no hidden layer,
     one epoch after inserting two hidden layers, then the full head."""
 
-    stage: str = "subnet"
     hidden_dim: int = HIDDEN_DIMS[0]
     seed: int = 0
-
-    def __post_init__(self):
-        if self.stage not in PRETRAIN_STAGES:
-            raise ValidationError(f"unknown pretraining stage {self.stage!r}")
+    stage: str = field(default="subnet", init=False)  # advanced by pretrain_transition
 
 
 def pretrain_transition(model, schedule: PretrainSchedule):

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from msam.cli import (
+    _CONFIG_KEYS,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -11,6 +15,7 @@ from msam.cli import (
     parse_synth_spec,
 )
 from msam.errors import ValidationError
+from msam.streams import desk_scale_config
 
 from conftest import write_wav
 
@@ -120,6 +125,24 @@ class TestTrainCommand:
         assert main(["train", "--model", "I_15^50", "--corpus", str(tmp_path / "c.tsv"),
                      "--out", str(tmp_path / "run")]) == EXIT_IO
 
+    @pytest.mark.parametrize("name, data, message", [
+        ("u.wav", b"", "manifest line 1: header: "),
+        ("u.labels", b"0\nx\n", "manifest line 1: labels: "),
+        ("u.labels", b"0\n\xff\n", "u.labels line 2: not UTF-8"),
+    ])
+    def test_malformed_corpus_file_is_io_error(self, tmp_path, capsys, name, data, message):
+        """A 0-byte WAV escaped main as an EOFError traceback; a non-integer
+        or non-UTF-8 label file exited 1 with a NumPy or codec message."""
+        from msam.dataio import Signal
+
+        write_wav(tmp_path / "u.wav", Signal(np.full(320, 0.1)))
+        (tmp_path / "u.labels").write_text("0\n1\n")
+        (tmp_path / name).write_bytes(data)
+        (tmp_path / "c.tsv").write_text("u.wav\tu.labels\tm0\n")
+        assert main(["train", "--model", "I_15^50", "--corpus", str(tmp_path / "c.tsv"),
+                     "--out", str(tmp_path / "run")]) == EXIT_IO
+        assert message in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.ini"),
                      "--model", "I_15^50", "--synth", SYNTH]) == EXIT_IO
@@ -206,6 +229,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("section, key", [
         ("train", "learnig_rate"), ("model", "hidden_dim"), ("data", "normalisation"),
+        ("model", "projection_dim"),
     ])
     def test_unknown_key_rejected(self, tmp_path, capsys, section, key):
         ini = DESK_MODEL_INI + "\n[data]\nnormalization = global\n"
@@ -221,9 +245,7 @@ class TestConfigFile:
         config = tmp_path / "full.ini"
         config.write_text(
             "[model]\nspec = M_4,9^50,50\nscale = desk\nhidden_dims = 8,8\nnum_classes = 3\n"
-            "first_map_size = 25\nfirst_num_kernels = 16\nsecond_stride = 48\n"
-            "second_kernel_len = 160\nsecond_map_size = 6\nsecond_num_kernels = 32\n"
-            "projection_dim = 50\n\n[train]\nlearning_rate = 0.02\nmomentum = 0.9\n"
+            "\n[train]\nlearning_rate = 0.02\nmomentum = 0.9\n"
             "weight_decay = 1e-5\nbatch_size = 256\ncv_fraction = 0.1\nmax_epochs = 2\n"
             "seed = 0\n\n[data]\nsynth = " + SYNTH + "\nnormalization = global\n"
         )
@@ -231,7 +253,22 @@ class TestConfigFile:
                                out=None, seed=None, epochs=None)
         run = load_run_config(args)
         assert run.model["kind"] == "multi_span" and run.train.max_epochs == 2
-        assert run.stream_overrides["projection_dim"] == 50
+        assert run.stream_configs() == [desk_scale_config(4, 50), desk_scale_config(9, 50)]
+
+    def test_readme_documents_exactly_the_parsed_keys(self):
+        """Each `key = value` or `; key = value` line under a `[section]` of
+        the README's ini block is one documented key; they must be the keys
+        load_run_config accepts, section by section."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        documented, section = {}, None
+        for line in block.splitlines():
+            if header := re.fullmatch(r"\[(\w+)\]", line.strip()):
+                section = header.group(1)
+                documented[section] = set()
+            elif key := re.match(r";?\s*(\w+)\s*=", line.strip()):
+                documented[section].add(key.group(1))
+        assert documented == _CONFIG_KEYS
 
 
 class TestEvalCommand:

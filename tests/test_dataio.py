@@ -1,7 +1,10 @@
+import re
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msam.dataio import (
     Corpus,
@@ -65,6 +68,44 @@ class TestLoadWav:
         signal = Signal(samples / 32768.0)
         write_wav(tmp_path / "r.wav", signal)
         np.testing.assert_allclose(load_wav(tmp_path / "r.wav").samples, signal.samples)
+
+    @pytest.mark.parametrize("size", [0, 30])
+    def test_truncated_header_names_field(self, tmp_path, size):
+        """A 0-byte file or a header cut short escaped as wave's EOFError."""
+        path = tmp_path / "cut.wav"
+        _write_raw_wav(path, np.zeros(1600))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(FormatError, match="header: .* cut short"):
+            load_wav(path)
+
+    def test_chunk_overrunning_the_riff_chunk_names_field(self, tmp_path):
+        """Found by the WAV fuzz: a fmt chunk size past the RIFF chunk's end
+        escaped as wave's bare RuntimeError."""
+        path = tmp_path / "overrun.wav"
+        _write_raw_wav(path, np.zeros(1600))
+        data = bytearray(path.read_bytes())
+        data[16:20] = (1 << 20).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="header: .* overruns"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("data_bytes", [601, 600, 0])
+    def test_data_chunk_shorter_than_header_rejected(self, tmp_path, data_bytes):
+        """The header declares 1600 samples.  An odd byte count failed in
+        NumPy's frombuffer, 600 bytes loaded 300 samples silently and 0
+        bytes failed as an empty Signal."""
+        path = tmp_path / "short.wav"
+        _write_raw_wav(path, np.zeros(1600))
+        path.write_bytes(path.read_bytes()[: 44 + data_bytes])
+        with pytest.raises(FormatError,
+                           match=f"data: {data_bytes} bytes where the header declares 1600"):
+            load_wav(path)
+
+    def test_zero_samples_rejected(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        _write_raw_wav(path, [])
+        with pytest.raises(FormatError, match="data: .* no samples"):
+            load_wav(path)
 
 
 def _toy_corpus():
@@ -287,6 +328,51 @@ class TestManifest:
         for expected, u in zip(centered, normalized.utterances):
             np.testing.assert_allclose(u.signal.samples, expected / scale)
 
+    @staticmethod
+    def _one_utterance(tmp_path, labels: bytes, num_samples=320):
+        write_wav(tmp_path / "u.wav", Signal(np.full(num_samples, 0.1)))
+        (tmp_path / "u.labels").write_bytes(labels)
+        manifest = tmp_path / "c.tsv"
+        manifest.write_text("u.wav\tu.labels\tm0\n")
+        return manifest
+
+    @pytest.mark.parametrize("token", ["x", "1.5"])
+    def test_non_integer_label_names_file_and_line(self, tmp_path, token):
+        """Failed with NumPy's "could not convert string" ValueError."""
+        manifest = self._one_utterance(tmp_path, f"0\n{token}\n".encode())
+        with pytest.raises(FormatError, match=rf"manifest line 1: labels: .*u\.labels line 2: "
+                                              rf"'{re.escape(token)}' is not an integer"):
+            load_manifest(manifest)
+
+    def test_non_utf8_label_file_names_file_and_line(self, tmp_path):
+        manifest = self._one_utterance(tmp_path, b"0\n\xff\n")
+        with pytest.raises(FormatError, match=r"manifest line 1: .*u\.labels line 2: not UTF-8"):
+            load_manifest(manifest)
+
+    def test_non_utf8_manifest_names_line(self, tmp_path):
+        manifest = self._one_utterance(tmp_path, b"0\n1\n")
+        manifest.write_bytes(b"u.wav\tu.labels\tm0\nu.wav\tu.labels\tm\xe9\n")
+        with pytest.raises(FormatError, match=r"c\.tsv line 2: not UTF-8"):
+            load_manifest(manifest)
+
+    def test_wav_shorter_than_one_frame_rejected(self, tmp_path):
+        """100 samples and an empty label file: loadtxt warned, then the
+        label maximum of an empty array raised."""
+        manifest = self._one_utterance(tmp_path, b"", num_samples=100)
+        with pytest.raises(FormatError, match="manifest line 1: u.wav has 100 samples, "
+                                              "fewer than one 160-sample frame"):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("wav_path", ["nope.wav", "u\x00.wav"])
+    def test_unopenable_path_names_manifest_line(self, tmp_path, wav_path):
+        """Found by the manifest fuzz: a NUL byte in a path escaped as
+        open()'s ValueError (exit 1), and a missing file as a bare
+        FileNotFoundError that did not say which manifest line named it."""
+        manifest = self._one_utterance(tmp_path, b"0\n1\n")
+        manifest.write_text(f"u.wav\tu.labels\tm0\n{wav_path}\tu.labels\tm0\n")
+        with pytest.raises(FormatError, match="manifest line 2: "):
+            load_manifest(manifest)
+
     def test_negative_label_rejected(self, tmp_path):
         write_wav(tmp_path / "u.wav", Signal(np.zeros(320)))
         (tmp_path / "u.labels").write_text("0\n-1\n")
@@ -294,3 +380,115 @@ class TestManifest:
         manifest.write_text("u.wav\tu.labels\tm0\n")
         with pytest.raises(FormatError, match="utterance u .*negative"):
             load_manifest(manifest, num_classes=3)
+
+
+# Byte-level mutations: flip bits of one byte, truncate, or splice bytes in.
+# Half the positions fall in the first 64 bytes, where a WAV keeps its header.
+_POSITIONS = st.one_of(st.integers(0, 63), st.integers(0, 1 << 16))
+_BYTE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("flip"), _POSITIONS, st.integers(1, 255)),
+    st.tuples(st.just("truncate"), _POSITIONS),
+    st.tuples(st.just("splice"), _POSITIONS, st.integers(0, 8), st.binary(max_size=8)),
+), min_size=1, max_size=4)
+# Line and token mutations of a manifest or label file.
+_TOKENS = st.sampled_from([
+    b"", b"x", b"1.5", b"-1", b"7", b"1e3", b"99999999999999999999", b" 2 ", b"0\t1",
+    b"u1.wav", b"u0.labels", b"nope.wav", b"\xff", b"\xc3", b"\r",
+])
+_LINE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 5)),
+    st.tuples(st.just("duplicate"), st.integers(0, 5)),
+    st.tuples(st.just("token"), st.integers(0, 5), st.integers(0, 3), _TOKENS),
+), min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, ops) -> bytes:
+    data = bytearray(data)
+    for op in ops:
+        if op[0] == "flip" and data:
+            data[op[1] % len(data)] ^= op[2]
+        elif op[0] == "truncate":
+            del data[op[1] % (len(data) + 1):]
+        elif op[0] == "splice":
+            at = op[1] % (len(data) + 1)
+            data[at : at + op[2]] = op[3]
+        elif op[0] in ("delete", "duplicate", "token"):
+            lines = bytes(data).split(b"\n")
+            i = op[1] % len(lines)
+            if op[0] == "delete":
+                del lines[i]
+            elif op[0] == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                tokens = lines[i].split(b"\t")
+                tokens[op[2] % len(tokens)] = op[3]
+                lines[i] = b"\t".join(tokens)
+            data = bytearray(b"\n".join(lines))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """A valid two-utterance corpus as bytes per file name, a directory to
+    write mutated copies into, and an FBANK checkpoint to evaluate them with."""
+    from msam.checkpoint import save_checkpoint
+    from msam.fbank import FbankConfig
+    from msam.model import build_fbank_model
+
+    folder = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(5)
+    files = {}
+    for u, labels in enumerate(["0\n1\n2\n", "1\n0\n"]):
+        write_wav(folder / "clean.wav", Signal(rng.uniform(-0.5, 0.5, 160 * len(labels) - u)))
+        files[f"u{u}.wav"] = (folder / "clean.wav").read_bytes()
+        files[f"u{u}.labels"] = labels.encode()
+    files["c.tsv"] = b"u0.wav\tu0.labels\tm0\nu1.wav\tu1.labels\tm1\n"
+    checkpoint = folder / "model.ckpt"
+    save_checkpoint(checkpoint, build_fbank_model(3, FbankConfig(num_filters=4),
+                                                  hidden_dims=(4,), seed=0))
+    return files, folder, checkpoint
+
+
+class TestLoaderFuzz:
+    """Every mutated input either loads or is a FormatError, never another
+    exception: through `msam eval` it exits 2 with a one-line error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_BYTE_OPS)
+    def test_load_wav_loads_or_raises_format_error(self, fuzz_corpus, ops):
+        files, folder, _ = fuzz_corpus
+        data = _mutate(files["u0.wav"], ops)
+        (folder / "m.wav").write_bytes(data)
+        try:
+            signal = load_wav(folder / "m.wav")
+        except FormatError:
+            return
+        assert 1 <= len(signal) and 2 * len(signal) <= len(data)
+        assert np.all(np.abs(signal.samples) <= 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(target=st.sampled_from(["c.tsv", "u0.labels", "u1.labels", "u0.wav"]),
+           ops=st.one_of(_LINE_OPS, _BYTE_OPS))
+    def test_manifest_loads_or_raises_format_error(self, fuzz_corpus, target, ops):
+        from contextlib import redirect_stderr
+        from io import StringIO
+
+        from msam.cli import EXIT_IO, main
+
+        files, folder, checkpoint = fuzz_corpus
+        for name, data in files.items():
+            (folder / name).write_bytes(_mutate(data, ops) if name == target else data)
+        try:
+            corpus = load_manifest(folder / "c.tsv")
+        except FormatError:
+            corpus = None
+        else:
+            for u in corpus.utterances:
+                assert len(u.labels) == len(u.signal) // 160 >= 1
+                assert 0 <= u.labels.min() and u.labels.max() < corpus.num_classes
+        err = StringIO()
+        with redirect_stderr(err):
+            code = main(["eval", str(checkpoint), "--corpus", str(folder / "c.tsv")])
+        assert "Traceback" not in err.getvalue()
+        if corpus is None:
+            assert code == EXIT_IO and err.getvalue().startswith("error: ")

@@ -154,13 +154,11 @@ class TestPretrainTransitions:
 
     def test_cannot_advance_past_full(self):
         model = self._subnet_model()
-        schedule = PretrainSchedule(stage="full")
-        with pytest.raises(ValidationError):
+        schedule = PretrainSchedule(hidden_dim=6, seed=1)
+        pretrain_transition(model, schedule)
+        pretrain_transition(model, schedule)
+        with pytest.raises(ValidationError, match="past the 'full'"):
             pretrain_transition(model, schedule)
-
-    def test_invalid_stage_rejected(self):
-        with pytest.raises(ValidationError):
-            PretrainSchedule(stage="warmup")
 
 
 @pytest.fixture(scope="module")
@@ -457,10 +455,12 @@ class TestTrainModel:
         assert model.head.num_hidden == num_hidden
 
     def test_pretrain_must_start_at_subnet(self, small_corpus):
-        model = _small_model()
-        with pytest.raises(ValidationError):
-            train_model(model, small_corpus, TrainConfig(max_epochs=3),
-                        pretrain=PretrainSchedule(stage="extended"))
+        """A schedule reused from an earlier run has already advanced."""
+        schedule = PretrainSchedule(hidden_dim=16, seed=1)
+        pretrain_transition(_small_model(), schedule)
+        with pytest.raises(ValidationError, match="'subnet' stage"):
+            train_model(_small_model(), small_corpus, TrainConfig(max_epochs=3),
+                        pretrain=schedule)
 
 
 def trained_guard_model(kind):
