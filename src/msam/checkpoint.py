@@ -77,7 +77,6 @@ def load_checkpoint(path):
         config_json = _read_exact(fh, _read_u32(fh), "config JSON")
         if hashlib.sha256(config_json).digest() != digest:
             raise FormatError("config_digest: config JSON does not match its digest")
-        config = json.loads(config_json.decode("utf-8"))
         tensors = {}
         for index in range(_read_u32(fh)):
             encoded = _read_exact(fh, _read_u32(fh), f"tensor {index} name")
@@ -95,11 +94,14 @@ def load_checkpoint(path):
         if size != end:
             raise FormatError(f"trailing data: {size - end} bytes after the last tensor")
     try:
-        model = model_from_config(config)
+        model = model_from_config(json.loads(config_json.decode("utf-8")))
     except KeyError as exc:
         raise FormatError(f"config: missing key {exc}") from exc
-    except (TypeError, ValueError, GeometryError, ValidationError) as exc:
-        # a nested config object lacks a field or has a stray one, or a value is out of range
+    except (ValueError, RecursionError, TypeError, AttributeError, ArithmeticError, MemoryError,
+            GeometryError, ValidationError) as exc:
+        # not UTF-8 JSON; an object lacks a field, has a stray one or is of the wrong
+        # type; a value is out of range (a zero width divides by zero); or the
+        # parameters the config sizes do not fit in memory
         raise FormatError(f"config: {exc}") from exc
     params = model.params()
     if set(params) != set(tensors):

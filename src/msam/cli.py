@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 
 import argparse
 import configparser
+import inspect
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -29,6 +30,7 @@ from .dataio import (
     load_manifest,
     normalize_global,
     normalize_utterance_meeting,
+    read_text,
     synth_corpus,
 )
 from .errors import FormatError, MsamError, ValidationError
@@ -36,7 +38,8 @@ from .fbank import FbankConfig
 from .model import build_fbank_model, build_raw_model
 from .network import HIDDEN_DIMS
 from .streams import StreamConfig, desk_scale_config
-from .trainer import FrameDataset, PretrainSchedule, TrainConfig, evaluate_frames, train_model
+from .trainer import (PRETRAINED_DEPTH, FrameDataset, PretrainSchedule, TrainConfig,
+                      evaluate_frames, train_model)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -78,26 +81,29 @@ def parse_model_spec(spec: str) -> dict:
     return {"kind": "multi_span", "strides": strides, "kernel_lens": lens}
 
 
+# Synth spec key -> the synth_corpus parameter it sets, whose annotation
+# types the value and whose default, if any, holds when the key is absent.
+_SYNTH_KEYS = {"classes": "num_classes", "utterances": "num_utterances",
+               "duration": "duration", "seed": "seed", "snr_db": "snr_db"}
+
+
 def parse_synth_spec(spec: str) -> dict:
-    """Parse "classes=3,utterances=12,duration=5.0,seed=1[,snr_db=30]"."""
-    fields = {}
+    """Parse "classes=3,utterances=12,duration=5.0[,seed=1][,snr_db=30]" into
+    synth_corpus arguments; only the keys given are passed."""
+    params = inspect.signature(synth_corpus).parameters
+    kwargs = {}
     for item in spec.split(","):
-        if "=" not in item:
-            raise ValidationError(f"synth spec item {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        fields[key.strip()] = value.strip()
-    try:
-        return {
-            "num_classes": int(fields["classes"]),
-            "num_utterances": int(fields["utterances"]),
-            "duration": float(fields["duration"]),
-            "seed": int(fields.get("seed", 0)),
-            "snr_db": float(fields.get("snr_db", 30.0)),
-        }
-    except KeyError as exc:
-        raise ValidationError(f"synth spec missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"synth spec: {exc}") from exc
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key not in _SYNTH_KEYS:
+            raise ValidationError(f"synth spec: unknown key {key!r}; expected {list(_SYNTH_KEYS)}")
+        try:
+            kwargs[_SYNTH_KEYS[key]] = params[_SYNTH_KEYS[key]].annotation(value)
+        except ValueError as exc:
+            raise ValidationError(f"synth spec: {key} = {value!r}: {exc}") from exc
+    for key, name in _SYNTH_KEYS.items():
+        if name not in kwargs and params[name].default is params[name].empty:
+            raise ValidationError(f"synth spec missing field {key!r}")
+    return kwargs
 
 
 # Each scale builds a stream from the spec's first-layer stride and kernel
@@ -136,8 +142,11 @@ class RunConfig:
                 for s, l in zip(self.model["strides"], self.model["kernel_lens"])]
 
 
-# INI keys; the [train] keys and their types are read off TrainConfig.
+# How each INI value that is not a string is read; the [train] keys and
+# their types are read off TrainConfig.
 _TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig)}
+_CASTS = {**_TRAIN_KEYS, "num_classes": int,
+          "hidden_dims": lambda value: tuple(int(v) for v in value.split(","))}
 # Every INI section and key load_run_config reads; anything else is rejected.
 _CONFIG_KEYS = {
     "model": {"spec", "scale", "hidden_dims", "num_classes"},
@@ -146,13 +155,30 @@ _CONFIG_KEYS = {
 }
 
 
+def _read_ini(path) -> configparser.ConfigParser:
+    """The parsed INI file; text that is not UTF-8 INI is a FormatError
+    naming the file and line.  `;` starts a comment, also after a value
+    and whitespace; `%` is literal."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    try:
+        parser.read_string(read_text(path), source=str(path))
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
+        # "While reading from 'f.ini' [line  3]: section 'model' already exists"
+        raise FormatError(f"{path} line {exc.lineno}: {exc.message.split(']: ', 1)[1]}") from exc
+    except configparser.MissingSectionHeaderError as exc:
+        raise FormatError(f"{path} line {exc.lineno}: no [section] header above it") from exc
+    except configparser.ParsingError as exc:
+        raise FormatError(
+            f"{path} line {exc.errors[0][0]}: not a [section] header or key = value"
+        ) from exc
+    return parser
+
+
 def load_run_config(args, require_model: bool = True) -> RunConfig:
     """Assemble the run configuration from the INI file plus CLI overrides."""
-    parser = configparser.ConfigParser()
     sections = {name: {} for name in _CONFIG_KEYS}
     if args.config:
-        if not parser.read(args.config):
-            raise FileNotFoundError(f"config file not found: {args.config}")
+        parser = _read_ini(args.config)
         unknown = sorted(set(parser.sections()) - set(_CONFIG_KEYS))
         if unknown:
             raise ValidationError(
@@ -164,24 +190,29 @@ def load_run_config(args, require_model: bool = True) -> RunConfig:
                 unknown = sorted(set(sections[name]) - known)
                 if unknown:
                     raise ValidationError(f"config [{name}]: unknown key(s) {unknown}")
-    model, data = sections["model"], sections["data"]
+            for key, value in sections[name].items():
+                try:
+                    sections[name][key] = _CASTS.get(key, str)(value)
+                except ValueError as exc:
+                    raise ValidationError(f"config: {key} = {value!r}: {exc}") from exc
+    model, data, train = sections["model"], sections["data"], sections["train"]
     spec = getattr(args, "model", None) or model.get("spec")
     if require_model and not spec:
         raise ValidationError("no model spec given (--model or [model] spec)")
-    train = {key: cast(sections["train"][key])
-             for key, cast in _TRAIN_KEYS.items() if key in sections["train"]}
-    for key, value in (("seed", args.seed), ("max_epochs", args.epochs)):
+    # msam eval has no --seed, --epochs or --out.
+    for key, value in (("seed", getattr(args, "seed", None)),
+                       ("max_epochs", getattr(args, "epochs", None))):
         if value is not None:
             train[key] = value
-    synth, hidden_dims = args.synth or data.get("synth"), model.get("hidden_dims")
+    synth = args.synth or data.get("synth")
     settings = {
         "corpus_path": args.corpus or data.get("corpus"),
         "synth": parse_synth_spec(synth) if synth else None,
-        "out_dir": args.out,
-        "num_classes": int(model["num_classes"]) if model.get("num_classes") else None,
+        "out_dir": getattr(args, "out", None),
+        "num_classes": model.get("num_classes"),
         "normalization": data.get("normalization"),
         "scale": model.get("scale"),
-        "hidden_dims": tuple(int(v) for v in hidden_dims.split(",")) if hidden_dims else None,
+        "hidden_dims": model.get("hidden_dims"),
     }
     # A setting that neither the file nor a flag gives keeps RunConfig's default.
     return RunConfig(model=parse_model_spec(spec) if spec else None, train=TrainConfig(**train),
@@ -209,7 +240,7 @@ def cmd_train(run: RunConfig) -> int:
         if run.model["kind"] == "multi_span":
             # Multi-span starts at the subnet pretraining stage (no hidden layer),
             # and each of its two transitions inserts two hidden_dim-wide layers.
-            if len(hidden_dims) != 4 or len(set(hidden_dims)) != 1:
+            if len(hidden_dims) != PRETRAINED_DEPTH or len(set(hidden_dims)) != 1:
                 raise ValidationError(
                     f"multi-span hidden_dims must be four equal widths, since pretraining "
                     f"inserts two pairs of equal-width layers; got {list(hidden_dims)}"
@@ -261,20 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_model=True):
-        p.add_argument("--config", help="INI config file")
-        if with_model:
-            p.add_argument("--model", help="model spec, e.g. I_15^50 or M_4,9,15^50,50,50")
-        p.add_argument("--corpus", help="corpus manifest path")
-        p.add_argument("--synth", help="synthetic corpus spec, e.g. classes=3,utterances=12,duration=5,seed=1")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
-
-    add_common(sub.add_parser("train", help="train a model"))
+    train_p = sub.add_parser("train", help="train a model")
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
     eval_p.add_argument("checkpoint")
-    add_common(eval_p, with_model=False)
+    for p in (train_p, eval_p):
+        p.add_argument("--config", help="INI config file")
+        p.add_argument("--corpus", help="corpus manifest path")
+        p.add_argument("--synth", help="synthetic corpus spec, e.g. classes=3,utterances=12,duration=5,seed=1")
+    train_p.add_argument("--model", help="model spec, e.g. I_15^50 or M_4,9,15^50,50,50")
+    train_p.add_argument("--out", help="output directory")
+    train_p.add_argument("--seed", type=int)
+    train_p.add_argument("--epochs", type=int)
     analyze_p = sub.add_parser("analyze", help="export learned-filter diagnostics")
     analyze_p.add_argument("checkpoint")
     analyze_p.add_argument("--out", default="analysis")

@@ -137,7 +137,7 @@ def synth_corpus(
     num_classes: int,
     num_utterances: int,
     duration: float,
-    seed: int,
+    seed: int = 0,
     snr_db: float = 30.0,
 ) -> Corpus:
     """Deterministic synthetic corpus of labelled sinusoid mixtures.
@@ -181,7 +181,7 @@ def synth_corpus(
     return Corpus(utterances, num_classes)
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
     """A UTF-8 text file's contents; any other byte sequence is a FormatError."""
     raw = Path(path).read_bytes()
     try:
@@ -194,7 +194,7 @@ def _read_text(path) -> str:
 def _read_labels(path) -> np.ndarray:
     """One integer class index per non-blank line."""
     labels = []
-    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         token = line.strip()
         if token and not re.fullmatch(r"[+-]?[0-9]{1,18}", token):  # always fits int64
             raise FormatError(
@@ -213,7 +213,7 @@ def load_manifest(path, num_classes: Optional[int] = None) -> Corpus:
     """
     path = Path(path)
     utterances = []
-    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue

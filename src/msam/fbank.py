@@ -5,7 +5,7 @@ spectrum and natural log with a 1e-10 floor.  These details are fixed here
 so the baseline is bit-reproducible.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,6 +24,9 @@ class FbankConfig:
     fft_size: int = 512
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.frame_size < FRAME_SHIFT:
             raise ValueError(f"frame_size must be >= the {FRAME_SHIFT}-sample frame shift")
         if self.num_filters < 1:
@@ -72,7 +75,7 @@ def compute_fbank(signal, config: FbankConfig = FbankConfig()) -> np.ndarray:
     return np.log(np.maximum(energies, LOG_FLOOR))
 
 
-def stack_context(features: np.ndarray, num_frames: int = 11) -> np.ndarray:
+def stack_context(features: np.ndarray, num_frames: int) -> np.ndarray:
     """Concatenate each frame with its neighbors, edges replicated.
 
     (N, D) -> (N, D * num_frames); num_frames must be odd.

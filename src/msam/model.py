@@ -98,18 +98,11 @@ class RawWaveformModel:
             raise ValidationError(f"unknown raw-waveform model kind {kind!r}")
         if kind == "single_span" and len(streams) != 1:
             raise ValidationError("single_span requires exactly one stream")
-        if kind == "multi_span":
-            if len(streams) < 2:
-                raise ValidationError("multi_span requires at least two streams")
-            if any(s.projection is None for s in streams):
-                raise ValidationError("multi_span streams require projections")
+        if kind == "multi_span" and len(streams) < 2:
+            raise ValidationError("multi_span requires at least two streams")
         self.kind = kind
         self.streams = streams
         self.head = head
-        if head.input_dim != self.feature_dim:
-            raise ValidationError(
-                f"head input dim {head.input_dim} != feature dim {self.feature_dim}"
-            )
 
     @property
     def num_classes(self) -> int:
@@ -117,9 +110,7 @@ class RawWaveformModel:
 
     @property
     def feature_dim(self) -> int:
-        if self.kind == "single_span":
-            return self.streams[0].config.output_dim
-        return sum(s.config.projection_dim for s in self.streams)
+        return self.head.input_dim
 
     @property
     def spans(self) -> List[int]:
@@ -231,14 +222,10 @@ class FbankDnnModel:
 
     kind = "fbank_dnn"
 
-    def __init__(self, fbank_config: FbankConfig, head: DnnHead, context_frames: int = 11):
+    def __init__(self, fbank_config: FbankConfig, head: DnnHead, context_frames: int):
         self.fbank_config = fbank_config
         self.head = head
         self.context_frames = context_frames
-        if head.input_dim != self.feature_dim:
-            raise ValidationError(
-                f"head input dim {head.input_dim} != feature dim {self.feature_dim}"
-            )
 
     @property
     def num_classes(self) -> int:
@@ -246,7 +233,7 @@ class FbankDnnModel:
 
     @property
     def feature_dim(self) -> int:
-        return self.fbank_config.num_filters * self.context_frames
+        return self.head.input_dim
 
     def params(self) -> dict:
         return head_params(self.head)
@@ -290,12 +277,10 @@ def build_raw_model(
     dtype=np.float32,
 ) -> RawWaveformModel:
     rng = np.random.default_rng(seed)
-    with_projection = kind == "multi_span"
-    streams = [init_stream(c, rng, with_projection=with_projection, dtype=dtype) for c in stream_configs]
-    if kind == "multi_span":
-        feature_dim = sum(c.projection_dim for c in stream_configs)
-    else:
-        feature_dim = stream_configs[0].output_dim
+    projected = kind == "multi_span"
+    streams = [init_stream(c, rng, with_projection=projected, dtype=dtype) for c in stream_configs]
+    # The feature width: projections concatenated, or the one stream's output.
+    feature_dim = sum(c.projection_dim if projected else c.output_dim for c in stream_configs)
     head = init_head(feature_dim, hidden_dims, num_classes, rng, dtype=dtype)
     return RawWaveformModel(kind, streams, head)
 
@@ -324,7 +309,7 @@ def _without_grid(config: dict) -> dict:
     return {key: value for key, value in config.items() if key not in _GRID}
 
 
-def model_from_config(config: dict, seed: int = 0):
+def model_from_config(config: dict):
     """Freshly initialized model matching a serialized config."""
     kind = config["kind"]
     _without_grid(config)
@@ -334,7 +319,6 @@ def model_from_config(config: dict, seed: int = 0):
             FbankConfig(**_without_grid(config["fbank"])),
             config["context_frames"],
             hidden_dims=config["hidden_dims"],
-            seed=seed,
         )
     stream_configs = [StreamConfig(**c) for c in config["streams"]]
     return build_raw_model(
@@ -342,5 +326,4 @@ def model_from_config(config: dict, seed: int = 0):
         stream_configs,
         config["num_classes"],
         hidden_dims=config["hidden_dims"],
-        seed=seed,
     )

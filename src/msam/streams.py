@@ -32,8 +32,8 @@ class StreamConfig:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         flat_len = self.first_map_size * self.first_num_kernels
         m2 = output_map_size(flat_len, self.second_kernel_len, self.second_stride)
         if m2 != self.second_map_size:
@@ -82,27 +82,6 @@ class Stream:
     first_layer: KernelBank
     second_layer: KernelBank
     projection: Optional[np.ndarray] = None  # (projection_dim, output_dim)
-
-    def __post_init__(self):
-        cfg = self.config
-        if self.first_layer.weights.shape != (cfg.first_num_kernels, cfg.first_kernel_len):
-            raise GeometryError("first layer shape does not match config")
-        if self.first_layer.stride != cfg.first_stride:
-            raise GeometryError("first layer stride does not match config")
-        if self.second_layer.weights.shape != (
-            cfg.second_num_kernels,
-            cfg.second_kernel_len,
-        ):
-            raise GeometryError("second layer shape does not match config")
-        if self.second_layer.stride != cfg.second_stride:
-            raise GeometryError("second layer stride does not match config")
-        if self.projection is not None:
-            self.projection = np.asarray(self.projection)
-            if self.projection.shape != (cfg.projection_dim, cfg.output_dim):
-                raise GeometryError(
-                    f"projection shape {self.projection.shape} != "
-                    f"{(cfg.projection_dim, cfg.output_dim)}"
-                )
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in, fan_out, dtype):

@@ -2,6 +2,7 @@
 scheduling, cross-validation and layer-by-layer pretraining for multi-span
 models."""
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -13,7 +14,7 @@ from .model import FbankDnnModel
 from .network import HIDDEN_DIMS, cross_entropy_batch
 from .streams import gather_windows, glorot_uniform
 
-PRETRAIN_STAGES = ("subnet", "extended", "full")
+PRETRAINED_DEPTH = 4  # hidden layers after pretraining's two transitions
 # NewBob+: CV accuracy improvements in percentage points, and the lr decay.
 NEWBOB_START_THRESHOLD = 0.5
 NEWBOB_STOP_THRESHOLD = 0.1
@@ -31,8 +32,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.momentum, self.weight_decay) < 0:
-            raise ValidationError("learning_rate, momentum, weight_decay must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for key in ("momentum", "weight_decay"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValidationError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if not 0 < self.cv_fraction < 1:
             raise ValidationError("cv_fraction must be in (0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -50,10 +54,6 @@ class NewBobState:
     previous_cv_accuracy: Optional[float] = None
     ramping: bool = False
     stopped: bool = False
-
-    def __post_init__(self):
-        if self.current_lr <= 0:
-            raise ValidationError("current_lr must be positive")
 
 
 def newbob_update(state: NewBobState, cv_accuracy: float) -> str:
@@ -107,30 +107,30 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
     return velocity
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretrainSchedule:
-    """Layer-by-layer pretraining: one epoch on a head with no hidden layer,
-    one epoch after inserting two hidden layers, then the full head."""
+    """Layer-by-layer pretraining: one epoch on a head with no hidden layer
+    (the 'subnet' stage), one epoch after inserting two hidden layers, then
+    the full head.  The stage is the head's depth, so one schedule serves
+    any number of runs."""
 
     hidden_dim: int = HIDDEN_DIMS[0]
     seed: int = 0
-    stage: str = field(default="subnet", init=False)  # advanced by pretrain_transition
 
 
 def pretrain_transition(model, schedule: PretrainSchedule):
-    """Advance the schedule one stage, inserting two fresh hidden layers
-    before the output layer.
+    """Insert two fresh hidden layers before the output layer: the next
+    pretraining stage.
 
     All existing stream, projection and hidden-layer parameters are kept
     bit-identical.  The output weight matrix is re-initialized only when
     its input dimension changes (the subnet -> extended transition); the
     output bias is always preserved.
     """
-    index = PRETRAIN_STAGES.index(schedule.stage)
-    if index == len(PRETRAIN_STAGES) - 1:
-        raise ValidationError("cannot advance past the 'full' pretraining stage")
-    next_stage = PRETRAIN_STAGES[index + 1]
     head = model.head
+    if head.num_hidden >= PRETRAINED_DEPTH:
+        raise ValidationError("cannot advance past the 'full' pretraining stage")
+    index = head.num_hidden // 2
     rng = np.random.default_rng((schedule.seed, index))
     dtype = head.output_weight.dtype
     in_dim = head.hidden_weights[-1].shape[0] if head.hidden_weights else head.input_dim
@@ -145,7 +145,6 @@ def pretrain_transition(model, schedule: PretrainSchedule):
         head.output_weight = glorot_uniform(
             rng, (num_classes, in_dim), in_dim, num_classes, dtype
         )
-    schedule.stage = next_stage
     return model
 
 
@@ -291,6 +290,11 @@ def train_model(model, corpus, config: TrainConfig,
     each, then trains the full head under NewBob+ until it stops.  No run
     exceeds max_epochs epochs, and no transition follows the last epoch.
     """
+    if pretrain is not None and model.head.num_hidden:
+        raise ValidationError(
+            f"pretraining must start at the 'subnet' stage, a head with no hidden "
+            f"layer; this head has {model.head.num_hidden}"
+        )
     state = make_state(model, corpus, config)
     log = []
 
@@ -301,9 +305,7 @@ def train_model(model, corpus, config: TrainConfig,
         return cv
 
     if pretrain is not None:
-        if pretrain.stage != "subnet":
-            raise ValidationError("pretraining must start at the 'subnet' stage")
-        while pretrain.stage != "full" and state.epoch < config.max_epochs:
+        while model.head.num_hidden < PRETRAINED_DEPTH and state.epoch < config.max_epochs:
             run_epoch()
             if state.epoch < config.max_epochs:
                 pretrain_transition(model, pretrain)

@@ -2,6 +2,7 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from msam.dataio import SAMPLE_RATE
 from msam.model import build_raw_model
@@ -72,6 +73,53 @@ def max_relative_error(analytic: dict, numeric: dict) -> float:
         denom = np.maximum(np.abs(a) + np.abs(n), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+# Byte-level mutations: flip bits of one byte, truncate, or splice bytes in.
+# Half the positions fall in the first 64 bytes, where a file keeps its header.
+_POSITIONS = st.one_of(st.integers(0, 63), st.integers(0, 1 << 16))
+BYTE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("flip"), _POSITIONS, st.integers(1, 255)),
+    st.tuples(st.just("truncate"), _POSITIONS),
+    st.tuples(st.just("splice"), _POSITIONS, st.integers(0, 8), st.binary(max_size=8)),
+), min_size=1, max_size=4)
+
+
+def line_ops(tokens):
+    """Line mutations: delete or duplicate a line, or set one of its tokens
+    to one of `tokens`."""
+    line = st.integers(0, 63)
+    return st.lists(st.one_of(
+        st.tuples(st.just("delete"), line),
+        st.tuples(st.just("duplicate"), line),
+        st.tuples(st.just("token"), line, st.integers(0, 3), st.sampled_from(tokens)),
+    ), min_size=1, max_size=3)
+
+
+def mutate(data: bytes, ops, sep: bytes = b"\t") -> bytes:
+    """`data` after BYTE_OPS or line_ops mutations; tokens are split on `sep`."""
+    data = bytearray(data)
+    for op in ops:
+        if op[0] == "flip" and data:
+            data[op[1] % len(data)] ^= op[2]
+        elif op[0] == "truncate":
+            del data[op[1] % (len(data) + 1):]
+        elif op[0] == "splice":
+            at = op[1] % (len(data) + 1)
+            data[at : at + op[2]] = op[3]
+        elif op[0] in ("delete", "duplicate", "token"):
+            lines = bytes(data).split(b"\n")
+            i = op[1] % len(lines)
+            if op[0] == "delete":
+                del lines[i]
+            elif op[0] == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                tokens = lines[i].split(sep)
+                tokens[op[2] % len(tokens)] = op[3]
+                lines[i] = sep.join(tokens)
+            data = bytearray(b"\n".join(lines))
+    return bytes(data)
 
 
 @pytest.fixture

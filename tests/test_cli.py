@@ -1,8 +1,11 @@
+import argparse
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msam.cli import (
     _CONFIG_KEYS,
@@ -10,14 +13,23 @@ from msam.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    RunConfig,
+    build_parser,
+    load_run_config,
     main,
     parse_model_spec,
     parse_synth_spec,
 )
-from msam.errors import ValidationError
+from msam.errors import FormatError, ValidationError
 from msam.streams import desk_scale_config
 
-from conftest import write_wav
+from conftest import BYTE_OPS, line_ops, mutate, write_wav
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_ini_block() -> str:
+    return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
 
 SYNTH = "classes=3,utterances=3,duration=1.0,seed=5,snr_db=30"
 
@@ -81,6 +93,23 @@ class TestModelSpecs:
     def test_synth_spec_missing_field(self):
         with pytest.raises(ValidationError):
             parse_synth_spec("classes=3")
+
+    def test_synth_spec_passes_only_the_keys_given(self):
+        """synth_corpus holds the seed and snr_db defaults; the parser kept
+        copies of them."""
+        assert parse_synth_spec("classes=3,utterances=2,duration=1.5") == {
+            "num_classes": 3, "num_utterances": 2, "duration": 1.5,
+        }
+
+    @pytest.mark.parametrize("key", ["snr", "sed"])
+    def test_unknown_synth_key_is_validation_error(self, tmp_path, capsys, key):
+        """`snr=5,sed=9` trained silently at seed 0 and 30 dB."""
+        out = tmp_path / "run"
+        assert main(["train", "--model", "I_15^50", "--synth",
+                     f"classes=3,utterances=1,duration=1,{key}=5",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +187,21 @@ class TestTrainCommand:
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists() and not (out / "train.log").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"), ("momentum", "inf"), ("weight_decay", "nan"),
+        ("learning_rate", "0"),
+    ])
+    def test_non_finite_or_zero_training_setting_rejected(self, tmp_path, capsys, key, value):
+        """NaN or infinite settings trained a full epoch, then exited 3 with
+        non-finite parameters; learning_rate = 0 named an internal field."""
+        config = tmp_path / "run.ini"
+        config.write_text(f"[model]\nscale = desk\n\n[train]\n{key} = {value}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--model", "I_15^50",
+                     "--synth", SYNTH, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {key} must be finite")
+        assert not out.exists()
 
     @pytest.mark.parametrize("synth, field", [
         ("classes=3,utterances=1,duration=inf", "duration"),
@@ -255,14 +299,78 @@ class TestConfigFile:
         assert run.model["kind"] == "multi_span" and run.train.max_epochs == 2
         assert run.stream_configs() == [desk_scale_config(4, 50), desk_scale_config(9, 50)]
 
+    @pytest.mark.parametrize("ini, line, message", [
+        ("spec = I_15^50\n", 1, "no [section] header above it"),
+        ("[model]\nspec = I_15^50\n\n[model]\nscale = desk\n", 4, "section 'model' already exists"),
+        ("[model]\nspec = I_15^50\nspec = I_15^50\n", 3,
+         "option 'spec' in section 'model' already exists"),
+        ("[model]\nspec = I_15^50\nseed\n", 3, "not a [section] header or key = value"),
+        ("[model]\nspec = I_15^50\n[train]\nseed = \xff\n", 4, "not UTF-8 text"),
+    ], ids=["no-header", "repeated-section", "repeated-key", "bare-word", "not-utf8"])
+    def test_malformed_ini_is_format_error(self, tmp_path, capsys, ini, line, message):
+        """The first four escaped main as configparser tracebacks; a file that
+        is not UTF-8 exited 1 with a codec message."""
+        config = tmp_path / "run.ini"
+        config.write_bytes(ini.encode("latin-1"))
+        assert main(["train", "--config", str(config), "--synth", SYNTH,
+                     "--out", str(tmp_path / "run")]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {config} line {line}: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        """A corpus path holding `%` raised InterpolationSyntaxError."""
+        config = tmp_path / "run.ini"
+        config.write_text("[data]\ncorpus = 100%/c.tsv\n")
+        run = load_run_config(build_parser().parse_args(["eval", "m.ckpt", "--config", str(config)]),
+                              require_model=False)
+        assert run.corpus_path == "100%/c.tsv"
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "batch_size", "1.5"), ("train", "momentum", ""),
+        ("model", "num_classes", "x"), ("model", "hidden_dims", "8,,8"),
+    ])
+    def test_uncastable_value_names_its_key(self, tmp_path, capsys, section, key, value):
+        ini = DESK_MODEL_INI + "\n[data]\nnormalization = global\n"
+        ini = ini.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        ini = ini.replace("hidden_dims = 16,16,16,16\n", "") if key == "hidden_dims" else ini
+        assert self._train(tmp_path, ini) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: config: {key} = {value!r}: ")
+
+    def test_readme_block_loads(self, tmp_path):
+        """The README's block, with its `;` comments after values, is a valid
+        config; the `;` used to become part of the value."""
+        (tmp_path / "run.ini").write_text(readme_ini_block())
+        run = load_run_config(build_parser().parse_args(["train", "--config",
+                                                         str(tmp_path / "run.ini")]))
+        assert (run.scale, run.hidden_dims, run.normalization) == ("desk", (512,) * 4, "global")
+        assert run.corpus_path == "corpus.tsv" and run.synth is None
+        assert run.model == parse_model_spec("M_4,9,15^50,50,50")
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.one_of(line_ops([
+        b"", b"=", b"[model]", b"[train]", b"[data]", b"[DEFAULT]", b"[", b"spec", b"seed",
+        b"synth", b"%", b"%(x)s", b";", b"nan", b"inf", b"-1", b"0", b"1.5", b"1e400",
+        b"99999999999999999999", b"x", b"I_15^50", b"F_160^400", b"desk", b"\xff", b"\t",
+        b"classes=3,utterances=1,duration=1", b"classes=3,snr=5",
+    ]), BYTE_OPS))
+    def test_load_run_config_fuzz(self, tmp_path_factory, ops):
+        """Line, token and byte mutations of the README block give a
+        RunConfig, a ValidationError or a FormatError, never another
+        exception."""
+        config = tmp_path_factory.mktemp("ini") / "run.ini"
+        config.write_bytes(mutate(readme_ini_block().encode(), ops, sep=b" "))
+        try:
+            run = load_run_config(build_parser().parse_args(["train", "--config", str(config)]))
+        except (ValidationError, FormatError):
+            return
+        assert isinstance(run, RunConfig) and run.model is not None
+
     def test_readme_documents_exactly_the_parsed_keys(self):
         """Each `key = value` or `; key = value` line under a `[section]` of
         the README's ini block is one documented key; they must be the keys
         load_run_config accepts, section by section."""
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         documented, section = {}, None
-        for line in block.splitlines():
+        for line in readme_ini_block().splitlines():
             if header := re.fullmatch(r"\[(\w+)\]", line.strip()):
                 section = header.group(1)
                 documented[section] = set()
@@ -304,6 +412,17 @@ class TestEvalCommand:
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert main(["eval", str(tmp_path / "none.ckpt"), "--synth", SYNTH]) == EXIT_IO
 
+    @pytest.mark.parametrize("flag, value", [("--out", "DIR"), ("--seed", "99"),
+                                             ("--epochs", "7")])
+    def test_training_flags_rejected(self, trained_run, tmp_path, capsys, flag, value):
+        """eval accepted these, read none of them and exited 0."""
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(trained_run / "model.ckpt"), "--synth", SYNTH,
+                  flag, str(tmp_path / value)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / value).exists()
+
     def test_class_count_mismatch_rejected(self, trained_run):
         synth = "classes=5,utterances=2,duration=1.0,seed=2"
         assert main(["eval", str(trained_run / "model.ckpt"),
@@ -332,3 +451,15 @@ class TestAnalyzeCommand:
         path = tmp_path / "f.ckpt"
         save_checkpoint(path, build_fbank_model(3, hidden_dims=(4,), seed=0))
         assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == EXIT_VALIDATION
+
+
+def test_readme_lists_each_commands_flags():
+    """Each `- `msam COMMAND ...`: flags` line of the README lists exactly
+    that subcommand's options."""
+    documented = {m.group(1): set(re.findall(r"--[a-z-]+", m.group(2)))
+                  for m in re.finditer(r"^- `msam (\w+)[^`]*`: (.*)$", README.read_text(), re.M)}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+              for name, p in commands.items()}
+    assert documented == parsed

@@ -20,7 +20,7 @@ from msam.errors import DegenerateInputError, FormatError
 from msam.fbank import compute_fbank
 from msam.trainer import FrameDataset
 
-from conftest import span_model, write_wav
+from conftest import BYTE_OPS, line_ops, mutate, span_model, write_wav
 
 
 def _write_raw_wav(path, samples_int16, channels=1, rate=16000, width=2):
@@ -382,49 +382,11 @@ class TestManifest:
             load_manifest(manifest, num_classes=3)
 
 
-# Byte-level mutations: flip bits of one byte, truncate, or splice bytes in.
-# Half the positions fall in the first 64 bytes, where a WAV keeps its header.
-_POSITIONS = st.one_of(st.integers(0, 63), st.integers(0, 1 << 16))
-_BYTE_OPS = st.lists(st.one_of(
-    st.tuples(st.just("flip"), _POSITIONS, st.integers(1, 255)),
-    st.tuples(st.just("truncate"), _POSITIONS),
-    st.tuples(st.just("splice"), _POSITIONS, st.integers(0, 8), st.binary(max_size=8)),
-), min_size=1, max_size=4)
 # Line and token mutations of a manifest or label file.
-_TOKENS = st.sampled_from([
+_LINE_OPS = line_ops([
     b"", b"x", b"1.5", b"-1", b"7", b"1e3", b"99999999999999999999", b" 2 ", b"0\t1",
     b"u1.wav", b"u0.labels", b"nope.wav", b"\xff", b"\xc3", b"\r",
 ])
-_LINE_OPS = st.lists(st.one_of(
-    st.tuples(st.just("delete"), st.integers(0, 5)),
-    st.tuples(st.just("duplicate"), st.integers(0, 5)),
-    st.tuples(st.just("token"), st.integers(0, 5), st.integers(0, 3), _TOKENS),
-), min_size=1, max_size=3)
-
-
-def _mutate(data: bytes, ops) -> bytes:
-    data = bytearray(data)
-    for op in ops:
-        if op[0] == "flip" and data:
-            data[op[1] % len(data)] ^= op[2]
-        elif op[0] == "truncate":
-            del data[op[1] % (len(data) + 1):]
-        elif op[0] == "splice":
-            at = op[1] % (len(data) + 1)
-            data[at : at + op[2]] = op[3]
-        elif op[0] in ("delete", "duplicate", "token"):
-            lines = bytes(data).split(b"\n")
-            i = op[1] % len(lines)
-            if op[0] == "delete":
-                del lines[i]
-            elif op[0] == "duplicate":
-                lines.insert(i, lines[i])
-            else:
-                tokens = lines[i].split(b"\t")
-                tokens[op[2] % len(tokens)] = op[3]
-                lines[i] = b"\t".join(tokens)
-            data = bytearray(b"\n".join(lines))
-    return bytes(data)
 
 
 @pytest.fixture(scope="module")
@@ -454,10 +416,10 @@ class TestLoaderFuzz:
     exception: through `msam eval` it exits 2 with a one-line error."""
 
     @settings(max_examples=150, deadline=None)
-    @given(ops=_BYTE_OPS)
+    @given(ops=BYTE_OPS)
     def test_load_wav_loads_or_raises_format_error(self, fuzz_corpus, ops):
         files, folder, _ = fuzz_corpus
-        data = _mutate(files["u0.wav"], ops)
+        data = mutate(files["u0.wav"], ops)
         (folder / "m.wav").write_bytes(data)
         try:
             signal = load_wav(folder / "m.wav")
@@ -468,7 +430,7 @@ class TestLoaderFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(target=st.sampled_from(["c.tsv", "u0.labels", "u1.labels", "u0.wav"]),
-           ops=st.one_of(_LINE_OPS, _BYTE_OPS))
+           ops=st.one_of(_LINE_OPS, BYTE_OPS))
     def test_manifest_loads_or_raises_format_error(self, fuzz_corpus, target, ops):
         from contextlib import redirect_stderr
         from io import StringIO
@@ -477,7 +439,7 @@ class TestLoaderFuzz:
 
         files, folder, checkpoint = fuzz_corpus
         for name, data in files.items():
-            (folder / name).write_bytes(_mutate(data, ops) if name == target else data)
+            (folder / name).write_bytes(mutate(data, ops) if name == target else data)
         try:
             corpus = load_manifest(folder / "c.tsv")
         except FormatError:

@@ -31,8 +31,10 @@ from msam.network import (
 from msam.streams import desk_scale_config, gather_windows
 
 from conftest import (
+    BYTE_OPS,
     finite_difference_grads,
     max_relative_error,
+    mutate,
     randomize_biases,
     tiny_stream_config,
 )
@@ -221,6 +223,19 @@ class TestModelBackward:
         assert max_relative_error(analytic, numeric) < 1e-4
 
 
+def with_config(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with the config JSON rewritten and its digest
+    recomputed: `edit(config)` edits the dict in place, or returns the
+    config bytes to write instead."""
+    size = int.from_bytes(blob[40:44], "little")
+    config = json.loads(blob[44 : 44 + size])
+    encoded = edit(config)
+    if not isinstance(encoded, bytes):
+        encoded = json.dumps(config, sort_keys=True).encode("utf-8")
+    return (blob[:8] + hashlib.sha256(encoded).digest() + struct.pack("<I", len(encoded))
+            + encoded + blob[44 + size :])
+
+
 class TestCheckpoint:
     def _forward(self, model, rng, n=5):
         windows = [
@@ -291,14 +306,49 @@ class TestCheckpoint:
                                     hidden_dims=(3,), seed=9)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
-        blob = path.read_bytes()
-        size = int.from_bytes(blob[40:44], "little")
-        config = json.loads(blob[44 : 44 + size])
-        edit(config)
-        encoded = json.dumps(config, sort_keys=True).encode("utf-8")
-        path.write_bytes(blob[:8] + hashlib.sha256(encoded).digest()
-                         + struct.pack("<I", len(encoded)) + encoded + blob[44 + size :])
+        path.write_bytes(with_config(path.read_bytes(), edit))
         return path
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("fbank", lambda c: c.update(hidden_dims=[2**36, 2**36])),
+        ("fbank", lambda c: c.update(num_classes=2**40)),
+        ("multi_span", lambda c: c["streams"][0].update(first_kernel_len=2**40)),
+    ], ids=["hidden_dims", "num_classes", "conv1"])
+    def test_config_asking_for_terabytes_rejected(self, tmp_path, kind, edit):
+        """A request for terabytes escaped main as a MemoryError traceback.
+        Each config fails at its first large allocation, at once."""
+        path = self._saved_with_config(tmp_path, kind, edit)
+        with pytest.raises(FormatError, match="config: Unable to allocate"):
+            load_checkpoint(path)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == EXIT_IO
+
+    @pytest.mark.parametrize("config_bytes", [b'{"kind": "fbank_dnn",', b'{"kind": "\xff"}'],
+                             ids=["not-json", "not-utf8"])
+    def test_config_not_utf8_json_rejected(self, tmp_path, capsys, config_bytes):
+        """Both exited 1 with a bare JSON or codec message."""
+        path = self._saved_with_config(tmp_path, "fbank", lambda c: config_bytes)
+        with pytest.raises(FormatError, match="config: "):
+            load_checkpoint(path)
+        assert main(["eval", str(path), "--synth", "classes=3,utterances=1,duration=0.5"]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: config: ")
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("fbank", lambda c: c.update(fbank=[400, 40, 512])),
+        ("multi_span", lambda c: c.update(kind="single_span", streams=[])),
+        ("fbank", lambda c: c.update(hidden_dims=[0, 0])),
+        ("multi_span", lambda c: c["streams"][0].update(first_stride=2.5)),
+        ("fbank", lambda c: c["fbank"].update(frame_size=400.5)),
+    ], ids=["fbank-list", "no-streams", "zero-widths", "float-stride", "float-frame-size"])
+    def test_config_of_the_wrong_shape_rejected(self, tmp_path, kind, edit):
+        """A list for the fbank object was an AttributeError traceback, a
+        single-span config with no stream an IndexError and two zero widths a
+        ZeroDivisionError.  A fractional stride or frame size loaded, then
+        `msam eval` died with a TypeError."""
+        path = self._saved_with_config(tmp_path, kind, edit)
+        with pytest.raises(FormatError, match="config: "):
+            load_checkpoint(path)
+        synth = "classes=3,utterances=1,duration=0.5"
+        assert main(["eval", str(path), "--synth", synth]) == EXIT_IO
 
     @pytest.mark.parametrize("kind, drop, key", [
         ("fbank", lambda c: c.pop("context_frames"), "context_frames"),
@@ -379,3 +429,102 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+# JSON edits of a checkpoint config: set or delete any value, or add a key
+# to an object or an item to a list.  Numbers stay small, so no model built
+# from an edited config allocates more than a few MB.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 48), st.floats(-2, 64),
+    st.sampled_from([float("nan"), float("inf"), 0.5, 1.0, 2.5, 400.5, "", "fbank_dnn",
+                     "single_span", "multi_span"]),
+    st.text(max_size=4), st.lists(st.integers(0, 8), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2),
+)
+_KEYS = st.one_of(st.sampled_from(["sample_rate", "frame_shift", "kind", "streams",
+                                   "context_frames", "first_stride"]), st.text(max_size=4))
+_CONFIG_OPS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 255), _JSON_VALUES),
+    st.tuples(st.just("delete"), st.integers(0, 255)),
+    st.tuples(st.just("add"), st.integers(0, 255), _KEYS, _JSON_VALUES),
+), min_size=1, max_size=3)
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON tree, the root's () first."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    return [path] + [p for key, child in children for p in _paths(child, path + (key,))]
+
+
+def _edit(config: dict, ops) -> None:
+    for op in ops:
+        path = _paths(config)[op[1] % len(_paths(config))]
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        if op[0] == "add":
+            target = node[path[-1]] if path else node
+            if isinstance(target, dict):
+                target[op[2]] = op[3]
+            elif isinstance(target, list):
+                target.append(op[3])
+        elif path and op[0] == "set":
+            node[path[-1]] = op[2]
+        elif path:
+            del node[path[-1]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoints(tmp_path_factory):
+    """A small checkpoint of each model family, as bytes, and a directory."""
+    folder = tmp_path_factory.mktemp("ckpt_fuzz")
+    models = {
+        "fbank": build_fbank_model(3, FbankConfig(num_filters=4), context_frames=3,
+                                   hidden_dims=(4,), seed=0),
+        "multi_span": build_raw_model("multi_span", [tiny_stream_config(s) for s in (2, 3)], 3,
+                                      hidden_dims=(3,), seed=0),
+    }
+    blobs = {}
+    for kind, model in models.items():
+        save_checkpoint(folder / "clean.ckpt", model)
+        blobs[kind] = (folder / "clean.ckpt").read_bytes()
+    return blobs, folder
+
+
+class TestCheckpointFuzz:
+    """Every mutated checkpoint loads or is a FormatError, never another
+    exception; `msam eval` and `msam analyze` exit 2 on those that do not
+    load, and never with a traceback."""
+
+    @staticmethod
+    def _check(folder, blob):
+        from contextlib import redirect_stderr
+        from io import StringIO
+
+        path = folder / "m.ckpt"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+            loaded = True
+        except FormatError:
+            loaded = False
+        for argv in (["eval", str(path), "--synth", "classes=3,utterances=1,duration=0.5"],
+                     ["analyze", str(path), "--out", str(folder / "analysis")]):
+            err = StringIO()
+            with redirect_stderr(err):
+                code = main(argv)
+            if not loaded:
+                assert code == EXIT_IO and err.getvalue().startswith("error: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["fbank", "multi_span"]), ops=BYTE_OPS)
+    def test_byte_mutations(self, fuzz_checkpoints, kind, ops):
+        blobs, folder = fuzz_checkpoints
+        self._check(folder, mutate(blobs[kind], ops))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["fbank", "multi_span"]), ops=_CONFIG_OPS)
+    def test_config_edits_with_digest_recomputed(self, fuzz_checkpoints, kind, ops):
+        blobs, folder = fuzz_checkpoints
+        self._check(folder, with_config(blobs[kind], lambda config: _edit(config, ops)))

@@ -124,12 +124,12 @@ class TestPretrainTransitions:
         assert model.head.input_dim == feature_dim
 
         pretrain_transition(model, schedule)
-        assert schedule.stage == "extended"
+        assert model.head.num_hidden == 2
         assert [w.shape[0] for w in model.head.hidden_weights] == [6, 6]
         assert model.head.output_weight.shape == (4, 6)
 
         pretrain_transition(model, schedule)
-        assert schedule.stage == "full"
+        assert model.head.num_hidden == 4
         assert [w.shape[0] for w in model.head.hidden_weights] == [6, 6, 6, 6]
 
     def test_untouched_parameters_preserved_bit_identical(self):
@@ -429,7 +429,6 @@ class TestTrainModel:
         schedule = PretrainSchedule(hidden_dim=16, seed=1)
         config = TrainConfig(max_epochs=6, seed=1)
         log = train_model(model, small_corpus, config, pretrain=schedule)
-        assert schedule.stage == "full"
         assert model.head.num_hidden == 4
         assert 3 <= len(log) <= 6
         # Log lines are tab-separated: epoch, lr, train loss, cv accuracy.
@@ -451,16 +450,33 @@ class TestTrainModel:
         log = train_model(model, small_corpus, TrainConfig(max_epochs=max_epochs, seed=1),
                           pretrain=schedule)
         assert [int(line.split("\t")[0]) for line in log] == list(range(1, max_epochs + 1))
-        assert schedule.stage == stage
-        assert model.head.num_hidden == num_hidden
+        assert model.head.num_hidden == num_hidden, f"stopped after the {stage} stage"
 
     def test_pretrain_must_start_at_subnet(self, small_corpus):
-        """A schedule reused from an earlier run has already advanced."""
+        """Pretraining starts from a head with no hidden layer; the stage is
+        the head's depth, so a schedule used by an earlier run trains again."""
         schedule = PretrainSchedule(hidden_dim=16, seed=1)
-        pretrain_transition(_small_model(), schedule)
         with pytest.raises(ValidationError, match="'subnet' stage"):
             train_model(_small_model(), small_corpus, TrainConfig(max_epochs=3),
                         pretrain=schedule)
+        logs = []
+        for _ in range(2):
+            model = build_raw_model("multi_span", [desk_scale_config(s, 50) for s in (4, 9)], 3,
+                                    hidden_dims=(), seed=1)
+            logs.append(train_model(model, small_corpus, TrainConfig(max_epochs=2, seed=1),
+                                    pretrain=schedule))
+            assert model.head.num_hidden == 2
+        assert logs[0] == logs[1]
+
+    def test_pretraining_never_deepens_a_head_with_hidden_layers(self, small_corpus):
+        """A head built with hidden layers (8, 8) was pretrained to six layers,
+        widths 8, 8, 16, 16, 16, 16; it is rejected before any epoch runs."""
+        model = build_raw_model("multi_span", [desk_scale_config(s, 50) for s in (4, 9)], 3,
+                                hidden_dims=(8, 8), seed=1)
+        with pytest.raises(ValidationError, match="this head has 2"):
+            train_model(model, small_corpus, TrainConfig(max_epochs=6, seed=1),
+                        pretrain=PretrainSchedule(hidden_dim=16, seed=1))
+        assert [w.shape[0] for w in model.head.hidden_weights] == [8, 8]
 
 
 def trained_guard_model(kind):
