@@ -1,10 +1,10 @@
 """Diagnostics for learned first-layer filters: zero-padded spectra, sorting
-by peak frequency, and effective kernel length measurement."""
+by peak frequency, and effective kernel length measurement.  Each function
+takes a stream's whole (K, L) first-layer bank."""
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -12,58 +12,35 @@ from .dataio import SAMPLE_RATE
 from .errors import ValidationError
 from .fbank import FbankConfig, mel_filterbank
 
-
-@dataclass
-class KernelSpectrum:
-    kernel_index: int
-    magnitudes: np.ndarray  # fft_size/2 + 1 non-negative-frequency bins
-    peak_frequency: float  # Hz
+ENERGY_FRACTION = 0.99
 
 
-def kernel_spectrum(kernel, fft_size: int = FbankConfig.fft_size,
-                    kernel_index: int = 0) -> KernelSpectrum:
-    """Zero-padded magnitude spectrum of one kernel.
+def kernel_spectra(kernels):
+    """Zero-padded magnitude spectra (K, n/2 + 1) and peak frequencies (K,)
+    in Hz, at n = max(FbankConfig.fft_size, next power of two >= L).
 
-    The peak frequency is reported at the raw sampling rate SAMPLE_RATE:
-    kernels slide over raw samples, so the stride affects the hop, not the
-    kernel's intrinsic rate.
+    Peaks are reported at the raw sampling rate SAMPLE_RATE: kernels slide
+    over raw samples, so the stride affects the hop, not the kernel's
+    intrinsic rate.
     """
-    kernel = np.asarray(kernel)
-    if fft_size < len(kernel):
-        raise ValueError(f"fft_size {fft_size} < kernel length {len(kernel)}")
-    magnitudes = np.abs(np.fft.rfft(kernel, n=fft_size))
-    peak = int(np.argmax(magnitudes))
-    return KernelSpectrum(kernel_index, magnitudes, peak * SAMPLE_RATE / fft_size)
+    kernels = np.asarray(kernels)
+    n = max(FbankConfig.fft_size, 1 << (kernels.shape[1] - 1).bit_length())
+    magnitudes = np.abs(np.fft.rfft(kernels, n=n, axis=1))
+    return magnitudes, np.argmax(magnitudes, axis=1) * SAMPLE_RATE / n
 
 
-def sort_by_peak(spectra: Sequence[KernelSpectrum]) -> List[int]:
-    """Kernel indices in ascending peak-frequency order, ties by index."""
-    if not spectra:
-        raise ValueError("no spectra to sort")
-    order = sorted(range(len(spectra)),
-                   key=lambda i: (spectra[i].peak_frequency, spectra[i].kernel_index))
-    return order
-
-
-def effective_kernel_length(kernel, energy_fraction: float = 0.99) -> int:
-    """Shortest contiguous sub-window holding >= energy_fraction of the
-    kernel's total squared magnitude."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    total = float(np.sum(kernel**2))
-    if total == 0.0:
+def effective_lengths(kernels) -> np.ndarray:
+    """Per kernel, the shortest contiguous sub-window holding >=
+    ENERGY_FRACTION of its total squared magnitude."""
+    energy = np.asarray(kernels, dtype=np.float64) ** 2
+    total = energy.sum(axis=1)
+    if not total.all():
         raise ValueError("all-zero kernel has no effective length")
-    if not 0 < energy_fraction <= 1:
-        raise ValueError("energy_fraction must be in (0, 1]")
-    target = energy_fraction * total
-    prefix = np.concatenate([[0.0], np.cumsum(kernel**2)])
-    best = len(kernel)
-    lo = 0
-    for hi in range(1, len(kernel) + 1):
-        while prefix[hi] - prefix[lo + 1] >= target:
-            lo += 1
-        if prefix[hi] - prefix[lo] >= target:
-            best = min(best, hi - lo)
-    return best
+    prefix = np.pad(np.cumsum(energy, axis=1), ((0, 0), (1, 0)))
+    # best[w - 1, k]: the largest energy in any window of w taps of kernel k
+    best = np.stack([(prefix[:, w:] - prefix[:, :-w]).max(axis=1)
+                     for w in range(1, energy.shape[1] + 1)])
+    return np.argmax(best >= ENERGY_FRACTION * total, axis=0) + 1
 
 
 def _write_csv(path: Path, rows):
@@ -73,8 +50,7 @@ def _write_csv(path: Path, rows):
 
 def export_analysis(model, out_dir) -> List[Path]:
     """Write per-stream sorted spectra and effective-length CSVs plus a Mel
-    filterbank reference, all at the default FFT size and energy fraction;
-    returns the paths written."""
+    filterbank reference; returns the paths written."""
     if not hasattr(model, "streams"):
         raise ValidationError("no waveform kernels to analyze")
     out_dir = Path(out_dir)
@@ -82,20 +58,15 @@ def export_analysis(model, out_dir) -> List[Path]:
     paths = []
     for i, stream in enumerate(model.streams):
         kernels = stream.first_layer.weights
-        spectra = [kernel_spectrum(k, kernel_index=j) for j, k in enumerate(kernels)]
-        order = sort_by_peak(spectra)
+        magnitudes, peak_hz = kernel_spectra(kernels)
         spectra_path = out_dir / f"spectra_stream{i}.csv"
         _write_csv(
             spectra_path,
-            [[spectra[j].kernel_index, f"{spectra[j].peak_frequency:.6f}"]
-             + [f"{v:.9e}" for v in spectra[j].magnitudes] for j in order],
+            [[j, f"{peak_hz[j]:.6f}"] + [f"{v:.9e}" for v in magnitudes[j]]
+             for j in np.argsort(peak_hz, kind="stable")],
         )
         lengths_path = out_dir / f"effective_lengths_stream{i}.csv"
-        _write_csv(
-            lengths_path,
-            [[j, effective_kernel_length(kernels[j])]
-             for j in range(len(kernels))],
-        )
+        _write_csv(lengths_path, enumerate(effective_lengths(kernels)))
         paths.extend([spectra_path, lengths_path])
     mel_path = out_dir / "mel_reference.csv"
     mel = mel_filterbank(FbankConfig())

@@ -89,6 +89,8 @@ def load_checkpoint(path):
             count = math.prod(dims)
             payload = _read_exact(fh, 4 * count, f"tensor {name} payload")
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            if not np.isfinite(tensors[name]).all():
+                raise FormatError(f"tensor {name}: non-finite values")
         end = fh.tell()
         size = fh.seek(0, os.SEEK_END)
         if size != end:

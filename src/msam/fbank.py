@@ -32,7 +32,7 @@ class FbankConfig:
         if self.num_filters < 1:
             raise ValueError("num_filters must be >= 1")
         if self.frame_size > self.fft_size:
-            raise ValueError("frame_size must not exceed fft_size")
+            raise ValueError(f"frame_size {self.frame_size} exceeds the {self.fft_size}-sample FFT")
         if self.fft_size & (self.fft_size - 1):
             raise ValueError("fft_size must be a power of two")
 
@@ -55,13 +55,10 @@ def mel_filterbank(config: FbankConfig) -> np.ndarray:
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), config.num_filters + 2)
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(config.fft_size // 2 + 1) * SAMPLE_RATE / config.fft_size
-    weights = np.zeros((config.num_filters, len(bin_freqs)))
-    for i in range(config.num_filters):
-        left, center, right = hz_points[i], hz_points[i + 1], hz_points[i + 2]
-        rising = (bin_freqs - left) / (center - left)
-        falling = (right - bin_freqs) / (right - center)
-        weights[i] = np.maximum(0.0, np.minimum(rising, falling))
-    return weights
+    left, center, right = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    rising = (bin_freqs - left) / (center - left)
+    falling = (right - bin_freqs) / (right - center)
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
 def compute_fbank(signal, config: FbankConfig = FbankConfig()) -> np.ndarray:

@@ -223,6 +223,9 @@ class FbankDnnModel:
     kind = "fbank_dnn"
 
     def __init__(self, fbank_config: FbankConfig, head: DnnHead, context_frames: int):
+        if not isinstance(context_frames, int) or context_frames < 1 or context_frames % 2 == 0:
+            raise ValueError(
+                f"context_frames must be a positive odd integer, got {context_frames!r}")
         self.fbank_config = fbank_config
         self.head = head
         self.context_frames = context_frames

@@ -1,4 +1,5 @@
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from msam.dataio import SAMPLE_RATE
 from msam.model import build_raw_model
 from msam.streams import StreamConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_stream_config(stride: int, kernel_len: int = 5) -> StreamConfig:

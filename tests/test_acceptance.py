@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from msam.analysis import effective_kernel_length, kernel_spectrum, sort_by_peak
+from msam.analysis import effective_lengths, kernel_spectra
 from msam.checkpoint import load_checkpoint, save_checkpoint
 from msam.conv import KernelBank, conv1d_forward_batch, output_map_size, required_span
 from msam.dataio import normalize_global, synth_corpus
@@ -29,7 +29,12 @@ from conftest import (
     randomize_biases,
     tiny_stream_config,
 )
-from test_analysis import direct_dft_magnitudes
+from test_analysis import (
+    cosine_bank,
+    direct_dft_magnitudes,
+    exhaustive_effective_length,
+    exported_rows,
+)
 from test_conv import naive_conv
 
 
@@ -192,36 +197,22 @@ class TestAcceptance:
         ok &= state4.current_lr == lrs[-1]
         report("criterion 7: NewBob+ trace examples and state machine", ok)
 
-    def test_08_analysis_suite(self):
+    def test_08_analysis_suite(self, tmp_path):
         rng = np.random.default_rng(99)
-        worst = 0.0
-        for _ in range(20):
-            kernel = rng.normal(size=50)
-            got = kernel_spectrum(kernel, fft_size=128).magnitudes
-            worst = max(worst, float(np.max(np.abs(got - direct_dft_magnitudes(kernel, 128)))))
+        bank = rng.normal(size=(20, 50))
+        magnitudes, _ = kernel_spectra(bank)
+        worst = max(float(np.max(np.abs(got - direct_dft_magnitudes(kernel, 512))))
+                    for kernel, got in zip(bank, magnitudes))
         ok = worst < 1e-9
 
-        def exhaustive(kernel, fraction):
-            energy = kernel**2
-            target = fraction * energy.sum()
-            for length in range(1, len(kernel) + 1):
-                for start in range(len(kernel) - length + 1):
-                    if energy[start : start + length].sum() >= target:
-                        return length
-            return len(kernel)
-
         for _ in range(100):
-            kernel = rng.normal(size=int(rng.integers(1, 40)))
-            fraction = float(rng.uniform(0.3, 1.0))
-            ok &= effective_kernel_length(kernel, fraction) == exhaustive(kernel, fraction)
+            bank = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 40))))
+            ok &= effective_lengths(bank).tolist() == [
+                exhaustive_effective_length(kernel) for kernel in bank
+            ]
 
-        n = np.arange(50)
-        freqs = [5000.0, 250.0, 2000.0, 1000.0]
-        spectra = [
-            kernel_spectrum(np.sin(2 * np.pi * f / 16000.0 * n), 512, i)
-            for i, f in enumerate(freqs)
-        ]
-        ok &= sort_by_peak(spectra) == [1, 3, 2, 0]
+        order, _ = exported_rows(tmp_path, cosine_bank([5000.0, 250.0, 2000.0, 1000.0]))
+        ok &= order == [1, 3, 2, 0]
         report("criterion 8: analysis suite vs DFT and sub-window oracles", ok)
 
     def test_09_checkpoint_round_trip(self, tmp_path):

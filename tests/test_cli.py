@@ -74,6 +74,14 @@ class TestModelSpecs:
         assert "160-sample label grid" in capsys.readouterr().err
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_fbank_frame_longer_than_the_fft_names_the_limit(self, tmp_path, capsys):
+        """F_160^600 said "frame_size must not exceed fft_size", a setting no
+        flag or key sets."""
+        assert main(["train", "--model", "F_160^600", "--synth", SYNTH,
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "frame_size 600 exceeds the 512-sample FFT" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             parse_model_spec("M_4,9^50,50,50")

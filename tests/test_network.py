@@ -1,7 +1,6 @@
 import hashlib
 import json
 import struct
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,6 +31,7 @@ from msam.streams import desk_scale_config, gather_windows
 
 from conftest import (
     BYTE_OPS,
+    DATA,
     finite_difference_grads,
     max_relative_error,
     mutate,
@@ -366,11 +366,15 @@ class TestCheckpoint:
         ("fbank", "sample_rate", 8000),
         ("fbank", "num_filters", 0),
         ("multi_span", "first_map_size", 0),
+        ("fbank", "context_frames", 10),  # loaded, then `msam eval` exited 1
     ])
     def test_config_value_off_the_grid_or_out_of_range_rejected(self, tmp_path, kind, key, value):
         def edit(config):
             if key == "first_map_size":
                 config["streams"][0][key] = value
+            elif key == "context_frames":  # 44 filters x 10 frames keep the 440-wide head
+                config.update(context_frames=value)
+                config["fbank"]["num_filters"] = 44
             elif kind == "fbank":
                 config["fbank"][key] = value
             else:
@@ -378,6 +382,26 @@ class TestCheckpoint:
 
         path = self._saved_with_config(tmp_path, kind, edit)
         with pytest.raises(FormatError, match=key):
+            load_checkpoint(path)
+        synth = "classes=3,utterances=1,duration=0.5"
+        assert main(["eval", str(path), "--synth", synth]) == EXIT_IO
+
+    def test_infinite_conv1_tap_rejected(self, tmp_path):
+        """`msam analyze` wrote inf spectra rows and exited 0."""
+        model = load_checkpoint(DATA / "trained_multi_span.ckpt")
+        model.params()["stream1.conv1.weights"][0, 3] = np.inf
+        path = save_checkpoint(tmp_path / "m.ckpt", model)
+        with pytest.raises(FormatError, match="tensor stream1.conv1.weights: non-finite"):
+            load_checkpoint(path)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == EXIT_IO
+        assert not (tmp_path / "a").exists()
+
+    def test_nan_output_bias_rejected(self, tmp_path):
+        """`msam eval` exited 3 with "non-finite evaluation loss"."""
+        blob = (DATA / "trained_multi_span.ckpt").read_bytes()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(blob[:-4] + struct.pack("<f", np.nan))
+        with pytest.raises(FormatError, match="tensor head.output.bias: non-finite"):
             load_checkpoint(path)
         synth = "classes=3,utterances=1,duration=0.5"
         assert main(["eval", str(path), "--synth", synth]) == EXIT_IO
@@ -390,11 +414,10 @@ class TestCheckpoint:
         FBANK model (4 filters, 3 context frames, hidden (4,), seed 6), both
         with randomized biases.  tiny_reference.npz holds the input signal,
         the multi-span frame centres and both models' float32 probabilities."""
-        data = Path(__file__).parent / "data"
-        reference = np.load(data / "tiny_reference.npz")
-        model = load_checkpoint(data / f"{name}.ckpt")
+        reference = np.load(DATA / "tiny_reference.npz")
+        model = load_checkpoint(DATA / f"{name}.ckpt")
         save_checkpoint(tmp_path / "again.ckpt", model)
-        assert (tmp_path / "again.ckpt").read_bytes() == (data / f"{name}.ckpt").read_bytes()
+        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / f"{name}.ckpt").read_bytes()
         signal = reference["signal"]
         if name == "tiny_fbank":
             assert model.fbank_config == FbankConfig(num_filters=4)
