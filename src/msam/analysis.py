@@ -31,16 +31,15 @@ def kernel_spectra(kernels):
 
 def effective_lengths(kernels) -> np.ndarray:
     """Per kernel, the shortest contiguous sub-window holding >=
-    ENERGY_FRACTION of its total squared magnitude."""
+    ENERGY_FRACTION of its total squared magnitude; 0 for an all-zero
+    (dead) kernel."""
     energy = np.asarray(kernels, dtype=np.float64) ** 2
     total = energy.sum(axis=1)
-    if not total.all():
-        raise ValueError("all-zero kernel has no effective length")
     prefix = np.pad(np.cumsum(energy, axis=1), ((0, 0), (1, 0)))
     # best[w - 1, k]: the largest energy in any window of w taps of kernel k
     best = np.stack([(prefix[:, w:] - prefix[:, :-w]).max(axis=1)
                      for w in range(1, energy.shape[1] + 1)])
-    return np.argmax(best >= ENERGY_FRACTION * total, axis=0) + 1
+    return np.where(total > 0, np.argmax(best >= ENERGY_FRACTION * total, axis=0) + 1, 0)
 
 
 def _write_csv(path: Path, rows):

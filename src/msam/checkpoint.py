@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, GeometryError, ValidationError
-from .model import model_from_config
+from .model import model_from_params
 
 MAGIC = b"MSAM"
 FORMAT_VERSION = 1
@@ -96,23 +96,11 @@ def load_checkpoint(path):
         if size != end:
             raise FormatError(f"trailing data: {size - end} bytes after the last tensor")
     try:
-        model = model_from_config(json.loads(config_json.decode("utf-8")))
+        return model_from_params(json.loads(config_json.decode("utf-8")), tensors)
     except KeyError as exc:
         raise FormatError(f"config: missing key {exc}") from exc
-    except (ValueError, RecursionError, TypeError, AttributeError, ArithmeticError, MemoryError,
-            GeometryError, ValidationError) as exc:
+    except (ValueError, RecursionError, TypeError, AttributeError, GeometryError,
+            ValidationError) as exc:
         # not UTF-8 JSON; an object lacks a field, has a stray one or is of the wrong
-        # type; a value is out of range (a zero width divides by zero); or the
-        # parameters the config sizes do not fit in memory
+        # type; a value is out of range; or the tensors are not the ones it describes
         raise FormatError(f"config: {exc}") from exc
-    params = model.params()
-    if set(params) != set(tensors):
-        missing = set(params) ^ set(tensors)
-        raise FormatError(f"tensors: parameter set mismatch ({sorted(missing)})")
-    for name, value in tensors.items():
-        if params[name].shape != value.shape:
-            raise FormatError(
-                f"tensor {name}: shape {value.shape} != expected {params[name].shape}"
-            )
-        params[name][...] = value
-    return model

@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .conv import conv1d_backward_batch, conv1d_forward_batch
+from .conv import KernelBank, conv1d_backward_batch, conv1d_forward_batch
 from .dataio import FRAME_SHIFT, SAMPLE_RATE
 from .errors import GeometryError, ValidationError
 from .fbank import FbankConfig, compute_fbank, stack_context
@@ -23,9 +23,8 @@ from .network import (
     head_backward_batch,
     head_forward_batch,
     head_params,
-    init_head,
 )
-from .streams import Stream, StreamConfig, gather_windows, init_stream, window_starts
+from .streams import Stream, StreamConfig, gather_windows, window_starts
 
 # Checkpoint configs record the frame grid: raw models at the top level,
 # FBANK models inside "fbank".
@@ -94,12 +93,6 @@ class RawWaveformModel:
     """CNN streams plus DNN head operating directly on waveform windows."""
 
     def __init__(self, kind: str, streams: List[Stream], head: DnnHead):
-        if kind not in ("multi_span", "single_span"):
-            raise ValidationError(f"unknown raw-waveform model kind {kind!r}")
-        if kind == "single_span" and len(streams) != 1:
-            raise ValidationError("single_span requires exactly one stream")
-        if kind == "multi_span" and len(streams) < 2:
-            raise ValidationError("multi_span requires at least two streams")
         self.kind = kind
         self.streams = streams
         self.head = head
@@ -223,9 +216,6 @@ class FbankDnnModel:
     kind = "fbank_dnn"
 
     def __init__(self, fbank_config: FbankConfig, head: DnnHead, context_frames: int):
-        if not isinstance(context_frames, int) or context_frames < 1 or context_frames % 2 == 0:
-            raise ValueError(
-                f"context_frames must be a positive odd integer, got {context_frames!r}")
         self.fbank_config = fbank_config
         self.head = head
         self.context_frames = context_frames
@@ -271,36 +261,10 @@ class FbankDnnModel:
         }
 
 
-def build_raw_model(
-    kind: str,
-    stream_configs: Sequence[StreamConfig],
-    num_classes: int,
-    hidden_dims=HIDDEN_DIMS,
-    seed: int = 0,
-    dtype=np.float32,
-) -> RawWaveformModel:
-    rng = np.random.default_rng(seed)
-    projected = kind == "multi_span"
-    streams = [init_stream(c, rng, with_projection=projected, dtype=dtype) for c in stream_configs]
-    # The feature width: projections concatenated, or the one stream's output.
-    feature_dim = sum(c.projection_dim if projected else c.output_dim for c in stream_configs)
-    head = init_head(feature_dim, hidden_dims, num_classes, rng, dtype=dtype)
-    return RawWaveformModel(kind, streams, head)
-
-
-def build_fbank_model(
-    num_classes: int,
-    fbank_config: FbankConfig = FbankConfig(),
-    context_frames: int = 11,
-    hidden_dims=HIDDEN_DIMS,
-    seed: int = 0,
-    dtype=np.float32,
-) -> FbankDnnModel:
-    rng = np.random.default_rng(seed)
-    head = init_head(
-        fbank_config.num_filters * context_frames, hidden_dims, num_classes, rng, dtype=dtype
-    )
-    return FbankDnnModel(fbank_config, head, context_frames)
+def glorot_uniform(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+    """Uniform weights in +-sqrt(6 / (fan_in + fan_out)) for a (fan_out, fan_in) matrix."""
+    limit = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def _without_grid(config: dict) -> dict:
@@ -312,21 +276,109 @@ def _without_grid(config: dict) -> dict:
     return {key: value for key, value in config.items() if key not in _GRID}
 
 
-def model_from_config(config: dict):
-    """Freshly initialized model matching a serialized config."""
+def param_shapes(config: dict) -> dict:
+    """Name -> shape of every parameter of the model a `to_config` dict
+    describes, in `params()` order.  Allocates nothing; a config that
+    describes no valid model raises."""
     kind = config["kind"]
     _without_grid(config)
+    widths = [*config["hidden_dims"], config["num_classes"]]
+    if not all(isinstance(w, int) and w >= 1 for w in widths):
+        raise ValidationError(f"hidden_dims and num_classes must be integers >= 1, got {widths}")
+    shapes = {}
     if kind == "fbank_dnn":
-        return build_fbank_model(
-            config["num_classes"],
-            FbankConfig(**_without_grid(config["fbank"])),
-            config["context_frames"],
-            hidden_dims=config["hidden_dims"],
-        )
-    stream_configs = [StreamConfig(**c) for c in config["streams"]]
-    return build_raw_model(
-        kind,
-        stream_configs,
-        config["num_classes"],
-        hidden_dims=config["hidden_dims"],
+        context = config["context_frames"]
+        if not isinstance(context, int) or context < 1 or context % 2 == 0:
+            raise ValidationError(f"context_frames must be a positive odd integer, got {context!r}")
+        feature_dim = FbankConfig(**_without_grid(config["fbank"])).num_filters * context
+    elif kind in ("multi_span", "single_span"):
+        streams = [StreamConfig(**c) for c in config["streams"]]
+        if kind == "single_span" and len(streams) != 1:
+            raise ValidationError("single_span requires exactly one stream")
+        if kind == "multi_span" and len(streams) < 2:
+            raise ValidationError("multi_span requires at least two streams")
+        for i, c in enumerate(streams):
+            shapes[f"stream{i}.conv1.weights"] = (c.first_num_kernels, c.first_kernel_len)
+            shapes[f"stream{i}.conv1.biases"] = (c.first_num_kernels,)
+            shapes[f"stream{i}.conv2.weights"] = (c.second_num_kernels, c.second_kernel_len)
+            shapes[f"stream{i}.conv2.biases"] = (c.second_num_kernels,)
+            if kind == "multi_span":
+                shapes[f"stream{i}.projection"] = (c.projection_dim, c.output_dim)
+        # The feature width: projections concatenated, or the one stream's output.
+        feature_dim = sum(c.projection_dim if kind == "multi_span" else c.output_dim
+                          for c in streams)
+    else:
+        raise ValidationError(f"unknown model kind {kind!r}")
+    dims = [feature_dim, *widths]
+    for j, (d_in, d_out) in enumerate(zip(dims[:-2], dims[1:-1])):
+        shapes[f"head.hidden{j}.weight"] = (d_out, d_in)
+        shapes[f"head.hidden{j}.bias"] = (d_out,)
+    shapes["head.output.weight"] = (dims[-1], dims[-2])
+    shapes["head.output.bias"] = (dims[-1],)
+    return shapes
+
+
+def model_from_params(config: dict, params: dict):
+    """The model `config` describes, built around the arrays of `params`,
+    whose names and shapes must be `param_shapes(config)`."""
+    shapes = param_shapes(config)
+    got = {name: p.shape for name, p in params.items()}
+    wrong = [f"{name} {got.get(name, 'absent')}, expected {shapes.get(name, 'none')}"
+             for name in sorted(shapes.keys() | got.keys()) if got.get(name) != shapes.get(name)]
+    if wrong:
+        raise ValidationError(f"tensors that do not fit the model: {'; '.join(wrong)}")
+    hidden = range(len(config["hidden_dims"]))
+    head = DnnHead(
+        hidden_weights=[params[f"head.hidden{j}.weight"] for j in hidden],
+        hidden_biases=[params[f"head.hidden{j}.bias"] for j in hidden],
+        output_weight=params["head.output.weight"],
+        output_bias=params["head.output.bias"],
     )
+    if config["kind"] == "fbank_dnn":
+        fbank_config = FbankConfig(**_without_grid(config["fbank"]))
+        return FbankDnnModel(fbank_config, head, config["context_frames"])
+    streams = []
+    for i, c in enumerate(config["streams"]):
+        c, name = StreamConfig(**c), f"stream{i}."
+        first = KernelBank(params[name + "conv1.weights"], params[name + "conv1.biases"],
+                           c.first_stride)
+        second = KernelBank(params[name + "conv2.weights"], params[name + "conv2.biases"],
+                            c.second_stride)
+        streams.append(Stream(c, first, second, params.get(name + "projection")))
+    return RawWaveformModel(config["kind"], streams, head)
+
+
+def _seeded_model(config: dict, seed: int, dtype):
+    """The model `config` describes, with Glorot-uniform weights drawn from
+    `seed` in `params()` order and zero biases."""
+    rng = np.random.default_rng(seed)
+    return model_from_params(config, {
+        name: glorot_uniform(rng, shape, dtype) if len(shape) == 2 else np.zeros(shape, dtype)
+        for name, shape in param_shapes(config).items()
+    })
+
+
+def build_raw_model(
+    kind: str,
+    stream_configs: Sequence[StreamConfig],
+    num_classes: int,
+    hidden_dims=HIDDEN_DIMS,
+    seed: int = 0,
+    dtype=np.float32,
+) -> RawWaveformModel:
+    return _seeded_model({"kind": kind, "num_classes": num_classes,
+                          "streams": [asdict(c) for c in stream_configs],
+                          "hidden_dims": list(hidden_dims)}, seed, dtype)
+
+
+def build_fbank_model(
+    num_classes: int,
+    fbank_config: FbankConfig = FbankConfig(),
+    context_frames: int = 11,
+    hidden_dims=HIDDEN_DIMS,
+    seed: int = 0,
+    dtype=np.float32,
+) -> FbankDnnModel:
+    return _seeded_model({"kind": "fbank_dnn", "num_classes": num_classes,
+                          "context_frames": context_frames, "fbank": asdict(fbank_config),
+                          "hidden_dims": list(hidden_dims)}, seed, dtype)

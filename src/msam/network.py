@@ -5,8 +5,6 @@ from typing import List
 
 import numpy as np
 
-from .streams import glorot_uniform
-
 CE_PROB_FLOOR = 1e-30
 HIDDEN_DIMS = (512,) * 4  # the paper's head: four ReLU layers of 512 units
 
@@ -36,26 +34,6 @@ class DnnHead:
     @property
     def num_hidden(self) -> int:
         return len(self.hidden_weights)
-
-
-def init_head(
-    input_dim: int,
-    hidden_dims,
-    num_classes: int,
-    rng: np.random.Generator,
-    dtype=np.float32,
-) -> DnnHead:
-    dims = [input_dim, *hidden_dims]
-    hidden_weights, hidden_biases = [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        hidden_weights.append(glorot_uniform(rng, (d_out, d_in), d_in, d_out, dtype))
-        hidden_biases.append(np.zeros(d_out, dtype=dtype))
-    return DnnHead(
-        hidden_weights=hidden_weights,
-        hidden_biases=hidden_biases,
-        output_weight=glorot_uniform(rng, (num_classes, dims[-1]), dims[-1], num_classes, dtype),
-        output_bias=np.zeros(num_classes, dtype=dtype),
-    )
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

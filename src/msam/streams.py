@@ -84,52 +84,6 @@ class Stream:
     projection: Optional[np.ndarray] = None  # (projection_dim, output_dim)
 
 
-def glorot_uniform(rng: np.random.Generator, shape, fan_in, fan_out, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def init_stream(
-    config: StreamConfig,
-    rng: np.random.Generator,
-    with_projection: bool = True,
-    dtype=np.float32,
-) -> Stream:
-    """Seeded uniform (Glorot-style) initialization; biases start at zero."""
-    first = KernelBank(
-        weights=glorot_uniform(
-            rng,
-            (config.first_num_kernels, config.first_kernel_len),
-            config.first_kernel_len,
-            config.first_num_kernels,
-            dtype,
-        ),
-        biases=np.zeros(config.first_num_kernels, dtype=dtype),
-        stride=config.first_stride,
-    )
-    second = KernelBank(
-        weights=glorot_uniform(
-            rng,
-            (config.second_num_kernels, config.second_kernel_len),
-            config.second_kernel_len,
-            config.second_num_kernels,
-            dtype,
-        ),
-        biases=np.zeros(config.second_num_kernels, dtype=dtype),
-        stride=config.second_stride,
-    )
-    projection = None
-    if with_projection:
-        projection = glorot_uniform(
-            rng,
-            (config.projection_dim, config.output_dim),
-            config.output_dim,
-            config.projection_dim,
-            dtype,
-        )
-    return Stream(config, first, second, projection)
-
-
 def centered_window(samples: np.ndarray, center: int, span: int) -> np.ndarray:
     """Window of `span` samples centered at `center`, zero-padded at edges.
 

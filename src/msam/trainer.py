@@ -10,9 +10,9 @@ import numpy as np
 
 from .dataio import FRAME_SHIFT
 from .errors import ValidationError
-from .model import FbankDnnModel
+from .model import FbankDnnModel, glorot_uniform
 from .network import HIDDEN_DIMS, cross_entropy_batch
-from .streams import gather_windows, glorot_uniform
+from .streams import gather_windows
 
 PRETRAINED_DEPTH = 4  # hidden layers after pretraining's two transitions
 # NewBob+: CV accuracy improvements in percentage points, and the lr decay.
@@ -135,16 +135,11 @@ def pretrain_transition(model, schedule: PretrainSchedule):
     dtype = head.output_weight.dtype
     in_dim = head.hidden_weights[-1].shape[0] if head.hidden_weights else head.input_dim
     for _ in range(2):
-        head.hidden_weights.append(
-            glorot_uniform(rng, (schedule.hidden_dim, in_dim), in_dim, schedule.hidden_dim, dtype)
-        )
+        head.hidden_weights.append(glorot_uniform(rng, (schedule.hidden_dim, in_dim), dtype))
         head.hidden_biases.append(np.zeros(schedule.hidden_dim, dtype=dtype))
         in_dim = schedule.hidden_dim
     if head.output_weight.shape[1] != in_dim:
-        num_classes = head.output_weight.shape[0]
-        head.output_weight = glorot_uniform(
-            rng, (num_classes, in_dim), in_dim, num_classes, dtype
-        )
+        head.output_weight = glorot_uniform(rng, (head.num_classes, in_dim), dtype)
     return model
 
 
@@ -178,8 +173,15 @@ class FrameDataset:
             gap = (max(self.spans) + 1) // 2
             # A slot holds the samples and any frame centers past their end.
             slots = [max(len(u.signal), FRAME_SHIFT * u.num_frames) for u in corpus.utterances]
+            size = sum(slots) + gap * (len(slots) + 1)
+            try:
+                self.buffer = np.zeros(size, dtype=self.dtype)
+            except (MemoryError, ValueError) as exc:
+                raise ValidationError(
+                    f"a span of {max(self.spans)} samples pads the corpus to {size} samples, "
+                    f"which cannot be allocated ({exc})"
+                ) from exc
             starts = gap * np.arange(1, len(slots) + 1) + np.cumsum([0] + slots[:-1])
-            self.buffer = np.zeros(starts[-1] + slots[-1] + gap, dtype=self.dtype)
             for start, u in zip(starts, corpus.utterances):
                 self.buffer[start : start + len(u.signal)] = u.signal.samples
             self.centers = np.concatenate([

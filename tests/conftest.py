@@ -1,3 +1,6 @@
+import hashlib
+import json
+import struct
 import wave
 from pathlib import Path
 
@@ -123,6 +126,19 @@ def mutate(data: bytes, ops, sep: bytes = b"\t") -> bytes:
                 lines[i] = sep.join(tokens)
             data = bytearray(b"\n".join(lines))
     return bytes(data)
+
+
+def with_config(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes with the config JSON rewritten and its digest
+    recomputed: `edit(config)` edits the dict in place, or returns the
+    config bytes to write instead."""
+    size = int.from_bytes(blob[40:44], "little")
+    config = json.loads(blob[44 : 44 + size])
+    encoded = edit(config)
+    if not isinstance(encoded, bytes):
+        encoded = json.dumps(config, sort_keys=True).encode("utf-8")
+    return (blob[:8] + hashlib.sha256(encoded).digest() + struct.pack("<I", len(encoded))
+            + encoded + blob[44 + size :])
 
 
 @pytest.fixture

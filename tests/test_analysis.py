@@ -146,11 +146,12 @@ class TestEffectiveKernelLength:
                 exhaustive_effective_length(kernel) for kernel in bank
             ]
 
-    def test_all_zero_kernel_rejected(self, rng):
+    def test_all_zero_kernel_has_length_zero(self, rng):
+        """A dead kernel raised ValueError, which stopped `msam analyze`."""
         bank = rng.normal(size=(3, 10))
+        lengths = effective_lengths(bank)
         bank[1] = 0.0
-        with pytest.raises(ValueError):
-            effective_lengths(bank)
+        assert effective_lengths(bank).tolist() == [lengths[0], 0, lengths[2]]
 
 
 # sha256 of each CSV export_analysis writes for three models.
@@ -251,6 +252,32 @@ class TestExportAnalysis:
         for row in rows[::4]:
             direct = direct_dft_magnitudes(kernels[int(row[0])], 1024)
             assert float(row[1]) == np.argmax(direct) * 16000 / 1024
+
+    def test_dead_kernel_analyzed(self, tmp_path):
+        """One all-zero conv1 kernel made `msam analyze` exit 1 after writing
+        three of its five CSVs.  Now its effective length reads 0, and every
+        other row is the undamaged checkpoint's."""
+        model = load_checkpoint(DATA / "trained_multi_span.ckpt")
+        model.params()["stream1.conv1.weights"][1] = 0.0
+        dead = save_checkpoint(tmp_path / "dead.ckpt", model)
+        assert main(["analyze", str(DATA / "trained_multi_span.ckpt"),
+                     "--out", str(tmp_path / "clean")]) == EXIT_OK
+        assert main(["analyze", str(dead), "--out", str(tmp_path / "dead")]) == EXIT_OK
+        names = sorted(p.name for p in (tmp_path / "clean").iterdir())
+        assert sorted(p.name for p in (tmp_path / "dead").iterdir()) == names
+        for name in names:
+            clean_rows, dead_rows = ((tmp_path / side / name).read_text().splitlines()
+                                     for side in ("clean", "dead"))
+            if name.endswith("stream1.csv"):
+                # rows by kernel index; a spectra file is in peak order
+                clean_rows = {r.split(",", 1)[0]: r for r in clean_rows}
+                dead_rows = {r.split(",", 1)[0]: r for r in dead_rows}
+                del clean_rows["1"]
+                if name.startswith("effective"):
+                    assert dead_rows.pop("1") == "1,0"
+                else:
+                    dead_rows.pop("1")
+            assert dead_rows == clean_rows
 
     def test_fbank_model_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="no waveform kernels"):

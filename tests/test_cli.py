@@ -20,10 +20,11 @@ from msam.cli import (
     parse_model_spec,
     parse_synth_spec,
 )
+from msam.checkpoint import load_checkpoint
 from msam.errors import FormatError, ValidationError
-from msam.streams import desk_scale_config
+from msam.streams import StreamConfig, desk_scale_config
 
-from conftest import BYTE_OPS, line_ops, mutate, write_wav
+from conftest import BYTE_OPS, DATA, line_ops, mutate, with_config, write_wav
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -236,6 +237,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "1 frame" in err and "cv_fraction 0.1" in err
 
+    @pytest.mark.parametrize("stride", [2**40, 2**63])
+    def test_span_too_large_for_memory_is_validation_error(self, tmp_path, capsys, stride):
+        """The padded corpus buffer escaped main as a MemoryError traceback
+        ("Unable to allocate 796. TiB") at a 2**40 stride, and as an
+        OverflowError at 2**63."""
+        out = tmp_path / "run"
+        assert main(["train", "--model", f"I_{stride}^50", "--synth",
+                     "classes=3,utterances=1,duration=0.5", "--out", str(out)]) == EXIT_VALIDATION
+        span = StreamConfig(stride, 50).input_span
+        assert capsys.readouterr().err.startswith(f"error: a span of {span} samples pads ")
+        assert not out.exists()
+
 
 class TestConfigFile:
     @staticmethod
@@ -435,6 +448,18 @@ class TestEvalCommand:
         synth = "classes=5,utterances=2,duration=1.0,seed=2"
         assert main(["eval", str(trained_run / "model.ckpt"),
                      "--synth", synth]) == EXIT_VALIDATION
+
+    def test_span_too_large_for_memory_in_a_checkpoint_is_validation_error(self, tmp_path,
+                                                                           capsys):
+        """No tensor shape depends on a stride, so a digest-consistent
+        checkpoint with a 2**40 stride loads; `msam eval` then died with a
+        MemoryError traceback."""
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(with_config((DATA / "trained_multi_span.ckpt").read_bytes(),
+                                     lambda c: c["streams"][0].update(first_stride=2**40)))
+        assert load_checkpoint(path).streams[0].first_layer.stride == 2**40
+        assert main(["eval", str(path), "--synth", SYNTH]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: a span of ")
 
 
 class TestAnalyzeCommand:

@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from msam.conv import output_map_size
 from msam.errors import GeometryError, ValidationError
-from msam.model import RawWaveformModel
-from msam.network import init_head
-from msam.streams import StreamConfig, centered_window, init_stream
+from msam.model import build_raw_model
+from msam.streams import StreamConfig, centered_window
 
 from conftest import tiny_stream_config
 
@@ -63,12 +64,11 @@ class TestCenteredWindow:
             )
 
 
-def raw_model(streams, rng, kind="multi_span"):
-    dim = sum(
-        s.config.projection_dim if kind == "multi_span" else s.config.output_dim
-        for s in streams
-    )
-    return RawWaveformModel(kind, streams, init_head(dim, (), 2, rng, dtype=np.float64))
+def raw_model(strides, kind="multi_span"):
+    """A seeded float64 model of tiny streams, one per stride, and a head
+    with no hidden layer."""
+    configs = [tiny_stream_config(s) for s in strides]
+    return build_raw_model(kind, configs, 2, hidden_dims=(), seed=4, dtype=np.float64)
 
 
 def centered_batches(model, x, centers):
@@ -83,69 +83,65 @@ class TestStreamForward:
 
     def test_output_length(self, rng):
         cfg = tiny_stream_config(3)
-        model = raw_model([init_stream(cfg, rng, dtype=np.float64)], rng, "single_span")
+        model = raw_model([3], "single_span")
         o = model.features_batch([rng.normal(size=(3, cfg.input_span))])
         assert o.shape == (3, cfg.output_dim)
 
-    def test_zero_window_zero_biases_gives_zero(self, rng):
+    def test_zero_window_zero_biases_gives_zero(self):
         cfg = tiny_stream_config(2)
-        model = raw_model([init_stream(cfg, rng, dtype=np.float64)], rng, "single_span")
+        model = raw_model([2], "single_span")
         o = model.features_batch([np.zeros((2, cfg.input_span))])
         assert not o.any()
 
-    def test_window_length_mismatch_raises(self, rng):
+    def test_window_length_mismatch_raises(self):
         cfg = tiny_stream_config(2)
-        model = raw_model([init_stream(cfg, rng, dtype=np.float64)], rng, "single_span")
+        model = raw_model([2], "single_span")
         with pytest.raises(GeometryError):
             model.features_batch([np.zeros((2, cfg.input_span + 1))])
 
 
 class TestMultiSpanForward:
-    def _streams(self, rng, strides=(2, 3, 4)):
-        return [
-            init_stream(tiny_stream_config(s), rng, dtype=np.float64) for s in strides
-        ]
-
-    def _features(self, streams, x, centers, rng):
-        model = raw_model(streams, rng)
+    @staticmethod
+    def _features(model, x, centers):
         return model.features_batch(centered_batches(model, x, centers))
 
     def test_concatenated_dimension(self, rng):
-        streams = self._streams(rng)
-        p = self._features(streams, rng.normal(size=200), [100, 0], rng)
-        assert p.shape == (2, sum(s.config.projection_dim for s in streams))
+        model = raw_model([2, 3, 4])
+        p = self._features(model, rng.normal(size=200), [100, 0])
+        assert p.shape == (2, sum(s.config.projection_dim for s in model.streams))
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
     def test_dimension_for_any_stream_count(self, rng, count):
-        streams = self._streams(rng, strides=range(2, 2 + count))
+        strides = range(2, 2 + count)
         if count == 1:
-            with pytest.raises(ValidationError):
-                raw_model(streams, rng)
+            with pytest.raises(ValidationError, match="at least two streams"):
+                raw_model(strides)
             return
-        p = self._features(streams, rng.normal(size=200), [100], rng)
+        p = self._features(raw_model(strides), rng.normal(size=200), [100])
         assert p.shape == (1, 2 * count)
 
     def test_zero_projections_give_zero_vector(self, rng):
-        streams = self._streams(rng)
-        for s in streams:
+        model = raw_model([2, 3, 4])
+        for s in model.streams:
             s.projection[...] = 0.0
-        p = self._features(streams, rng.normal(size=200), [100, 160], rng)
+        p = self._features(model, rng.normal(size=200), [100, 160])
         assert not p.any()
 
     def test_stream_independence(self, rng):
-        streams = self._streams(rng)
+        model = raw_model([2, 3, 4])
+        streams = model.streams
         x = rng.normal(size=200)
-        before = self._features(streams, x, [100], rng)[0]
+        before = self._features(model, x, [100])[0]
         streams[1].first_layer.weights += rng.normal(size=streams[1].first_layer.weights.shape)
         streams[1].projection += rng.normal(size=streams[1].projection.shape)
-        after = self._features(streams, x, [100], rng)[0]
+        after = self._features(model, x, [100])[0]
         dim = streams[0].config.projection_dim
         np.testing.assert_array_equal(before[:dim], after[:dim])
         np.testing.assert_array_equal(before[2 * dim :], after[2 * dim :])
         assert np.any(before[dim : 2 * dim] != after[dim : 2 * dim])
 
     def test_determinism(self, rng):
-        model = raw_model(self._streams(rng), rng)
+        model = raw_model([2, 3, 4])
         windows = centered_batches(model, rng.normal(size=200), [64, 0, 199])
         np.testing.assert_array_equal(model.features_batch(windows), model.features_batch(windows))
 
@@ -156,18 +152,16 @@ class TestSingleSpanForward:
         assert cfg.input_span == 2040
         assert cfg.output_dim == 1408
 
-    def test_zero_input_zero_output(self, rng):
-        cfg = tiny_stream_config(3)
-        stream = init_stream(cfg, rng, with_projection=False, dtype=np.float64)
-        model = raw_model([stream], rng, "single_span")
+    def test_zero_input_zero_output(self):
+        model = raw_model([3], "single_span")
         assert not model.features_batch(centered_batches(model, np.zeros(100), [50, 0])).any()
 
     def test_equals_unprojected_stream_path(self, rng):
-        streams = [init_stream(tiny_stream_config(s), rng, dtype=np.float64) for s in (3, 2)]
-        single = raw_model(streams[:1], rng, "single_span")
-        multi = raw_model(streams, rng)
+        multi = raw_model([3, 2])
+        single = raw_model([3], "single_span")
+        single.streams[0] = replace(multi.streams[0], projection=None)
         x = rng.normal(size=120)
         o = single.features_batch(centered_batches(single, x, [60, 100]))
         p = multi.features_batch(centered_batches(multi, x, [60, 100]))
-        dim = streams[0].config.projection_dim
-        np.testing.assert_allclose(p[:, :dim], o @ streams[0].projection.T, atol=1e-12)
+        dim = multi.streams[0].config.projection_dim
+        np.testing.assert_allclose(p[:, :dim], o @ multi.streams[0].projection.T, atol=1e-12)

@@ -1,6 +1,6 @@
-import hashlib
-import json
+import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,16 +18,17 @@ from msam.model import (
     build_fbank_model,
     build_raw_model,
     head_loss_and_grads,
+    param_shapes,
 )
 from msam.network import (
     DnnHead,
     cross_entropy_batch,
     head_forward_batch,
     head_params,
-    init_head,
     softmax,
 )
 from msam.streams import desk_scale_config, gather_windows
+from msam.trainer import PretrainSchedule, pretrain_transition
 
 from conftest import (
     BYTE_OPS,
@@ -37,14 +38,22 @@ from conftest import (
     mutate,
     randomize_biases,
     tiny_stream_config,
+    with_config,
 )
+
+
+def seeded_head(input_dim, hidden_dims, num_classes, dtype=np.float64):
+    """The seeded head of an FBANK model with `input_dim` filters and one
+    context frame."""
+    return build_fbank_model(num_classes, FbankConfig(num_filters=input_dim), context_frames=1,
+                             hidden_dims=hidden_dims, seed=7, dtype=dtype).head
 
 
 class TestDnnForward:
     """head_forward_batch: class probabilities for a (B, D) batch."""
 
     def test_probabilities_sum_to_one(self, rng):
-        head = init_head(6, (4, 4), 5, rng, dtype=np.float64)
+        head = seeded_head(6, (4, 4), 5)
         probs, _ = head_forward_batch(head, rng.normal(size=(3, 6)))
         assert probs.shape == (3, 5)
         assert (probs >= 0).all()
@@ -61,7 +70,7 @@ class TestDnnForward:
         np.testing.assert_allclose(probs, np.full((2, 5), 0.2))
 
     def test_matches_matrix_oracle(self, rng):
-        head = init_head(4, (3, 3), 2, rng, dtype=np.float64)
+        head = seeded_head(4, (3, 3), 2)
         x = rng.normal(size=(3, 4))
         probs, _ = head_forward_batch(head, x)
         for row, h in zip(probs, x):
@@ -71,8 +80,8 @@ class TestDnnForward:
             expected = np.exp(logits) / np.exp(logits).sum()
             np.testing.assert_allclose(row, expected, atol=1e-9)
 
-    def test_dim_mismatch_raises(self, rng):
-        head = init_head(4, (3,), 2, rng)
+    def test_dim_mismatch_raises(self):
+        head = seeded_head(4, (3,), 2, dtype=np.float32)
         with pytest.raises(ValueError):
             head_forward_batch(head, np.zeros((2, 5)))
 
@@ -84,7 +93,7 @@ class TestDnnForward:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_softmax_and_head_forward_leave_arguments_unchanged(self, rng):
-        head = init_head(6, (4, 4), 5, rng, dtype=np.float32)
+        head = seeded_head(6, (4, 4), 5, dtype=np.float32)
         x = rng.normal(size=(3, 6)).astype(np.float32)
         logits = rng.normal(size=(3, 5)).astype(np.float32)
         arrays = [x, logits, *head_params(head).values()]
@@ -141,7 +150,7 @@ def _tiny_single_span(rng):
 
 class TestModelBackward:
     def test_softmax_ce_logit_gradient_identity(self, rng):
-        head = init_head(5, (), 4, rng, dtype=np.float64)
+        head = seeded_head(5, (), 4)
         x = rng.normal(size=(1, 5))
         # With no hidden layer, the output-bias gradient is dCE/dlogits.
         _, grads, _ = head_loss_and_grads(head, x, np.array([2]))
@@ -223,17 +232,32 @@ class TestModelBackward:
         assert max_relative_error(analytic, numeric) < 1e-4
 
 
-def with_config(blob: bytes, edit) -> bytes:
-    """Checkpoint bytes with the config JSON rewritten and its digest
-    recomputed: `edit(config)` edits the dict in place, or returns the
-    config bytes to write instead."""
-    size = int.from_bytes(blob[40:44], "little")
-    config = json.loads(blob[44 : 44 + size])
-    encoded = edit(config)
-    if not isinstance(encoded, bytes):
-        encoded = json.dumps(config, sort_keys=True).encode("utf-8")
-    return (blob[:8] + hashlib.sha256(encoded).digest() + struct.pack("<I", len(encoded))
-            + encoded + blob[44 + size :])
+class TestParamShapes:
+    """`param_shapes(model.to_config())` names each of `params()`, in order,
+    with its shape."""
+
+    @staticmethod
+    def _check(model):
+        shapes = param_shapes(model.to_config())
+        assert list(shapes.items()) == [(name, p.shape) for name, p in model.params().items()]
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_raw_model("single_span", [desk_scale_config(15, 50)], 3, hidden_dims=(8, 6)),
+        lambda: build_raw_model("multi_span", [tiny_stream_config(s) for s in (2, 3, 4)], 5,
+                                hidden_dims=(3,)),
+        lambda: build_fbank_model(4, FbankConfig(num_filters=6), context_frames=5,
+                                  hidden_dims=(7, 2)),
+    ], ids=["single_span", "multi_span", "fbank"])
+    def test_matches_params(self, build):
+        self._check(build())
+
+    def test_matches_params_after_each_pretraining_transition(self):
+        model = build_raw_model("multi_span", [tiny_stream_config(s) for s in (2, 3)], 3,
+                                hidden_dims=())
+        self._check(model)
+        for _ in range(2):
+            pretrain_transition(model, PretrainSchedule(hidden_dim=6, seed=1))
+            self._check(model)
 
 
 class TestCheckpoint:
@@ -309,17 +333,26 @@ class TestCheckpoint:
         path.write_bytes(with_config(path.read_bytes(), edit))
         return path
 
-    @pytest.mark.parametrize("kind, edit", [
-        ("fbank", lambda c: c.update(hidden_dims=[2**36, 2**36])),
-        ("fbank", lambda c: c.update(num_classes=2**40)),
-        ("multi_span", lambda c: c["streams"][0].update(first_kernel_len=2**40)),
+    @pytest.mark.parametrize("kind, edit, tensor", [
+        ("fbank", lambda c: c.update(hidden_dims=[2**36, 2**36]), "head.hidden1.weight absent"),
+        ("fbank", lambda c: c.update(num_classes=2**40), "head.output.weight (3, 4)"),
+        ("multi_span", lambda c: c["streams"][0].update(first_kernel_len=2**40),
+         "stream0.conv1.weights (2, 5)"),
     ], ids=["hidden_dims", "num_classes", "conv1"])
-    def test_config_asking_for_terabytes_rejected(self, tmp_path, kind, edit):
-        """A request for terabytes escaped main as a MemoryError traceback.
-        Each config fails at its first large allocation, at once."""
+    def test_config_asking_for_terabytes_rejected(self, tmp_path, kind, edit, tensor):
+        """The loader built the config's model before it compared any shape,
+        so these configs asked for terabytes.  Now the file's tensors are
+        checked against the config's shapes, and the loader holds no more
+        than those tensors, one payload being read and a few kB of parsing."""
         path = self._saved_with_config(tmp_path, kind, edit)
-        with pytest.raises(FormatError, match="config: Unable to allocate"):
-            load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=re.escape(tensor)):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size + 2**15
         assert main(["analyze", str(path), "--out", str(tmp_path / "a")]) == EXIT_IO
 
     @pytest.mark.parametrize("config_bytes", [b'{"kind": "fbank_dnn",', b'{"kind": "\xff"}'],
@@ -426,6 +459,14 @@ class TestCheckpoint:
             windows = [gather_windows(signal, reference["centers"], s) for s in model.spans]
             probs, expected = model.forward_batch(windows), reference["multi_span_probs"]
         np.testing.assert_array_equal(probs, expected)
+
+    @pytest.mark.parametrize("name", ["trained_multi_span", "tiny_fbank"])
+    def test_load_draws_no_random_weights(self, tmp_path, name):
+        """The loader drew a Glorot-initialized model, then overwrote it."""
+        with mock.patch.object(msam.model, "glorot_uniform", side_effect=AssertionError):
+            model = load_checkpoint(DATA / f"{name}.ckpt")
+        save_checkpoint(tmp_path / "again.ckpt", model)
+        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / f"{name}.ckpt").read_bytes()
 
     def test_payload_larger_than_file_rejected_before_reading(self, tmp_path):
         path, blob = self._saved_blob(tmp_path)
