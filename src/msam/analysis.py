@@ -8,7 +8,7 @@ from typing import List
 
 import numpy as np
 
-from .dataio import SAMPLE_RATE
+from .dataio import SAMPLE_RATE, new_file
 from .errors import ValidationError
 from .fbank import FbankConfig, mel_filterbank
 
@@ -43,7 +43,7 @@ def effective_lengths(kernels) -> np.ndarray:
 
 
 def _write_csv(path: Path, rows):
-    with open(path, "w", newline="") as fh:
+    with new_file(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
 

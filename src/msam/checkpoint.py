@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import new_file
 from .errors import FormatError, GeometryError, ValidationError
 from .model import model_from_params
 
@@ -29,12 +30,16 @@ def _write_u32(fh, value: int):
     fh.write(struct.pack("<I", value))
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    """`size` bytes, checked against the bytes left in the file before reading,
-    so a corrupt length can neither allocate nor overflow."""
+def _check_left(fh, size: int, what: str):
+    """Reject a `size` larger than the bytes left in the file before anything
+    is allocated for it, so a corrupt length can neither allocate nor overflow."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if size > left:
         raise FormatError(f"{what}: truncated, expected {size} bytes, got {left}")
+
+
+def _read_exact(fh, size: int, what: str) -> bytes:
+    _check_left(fh, size, what)
     return fh.read(size)
 
 
@@ -43,10 +48,11 @@ def _read_u32(fh) -> int:
 
 
 def save_checkpoint(path, model):
-    """Write the model's config and all parameter tensors as float32."""
+    """Write the model's config and all parameter tensors as float32.  The
+    file replaces `path` only once it is complete (`dataio.new_file`)."""
     config_json = json.dumps(model.to_config(), sort_keys=True).encode("utf-8")
     params = model.params()
-    with open(path, "wb") as fh:
+    with new_file(path) as fh:
         fh.write(MAGIC)
         _write_u32(fh, FORMAT_VERSION)
         fh.write(hashlib.sha256(config_json).digest())
@@ -60,7 +66,7 @@ def save_checkpoint(path, model):
             _write_u32(fh, tensor.ndim)
             for dim in tensor.shape:
                 _write_u32(fh, dim)
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
     return Path(path)
 
 
@@ -86,11 +92,16 @@ def load_checkpoint(path):
                 raise FormatError(f"tensor {index} name: not UTF-8 ({exc})") from exc
             rank = _read_u32(fh)
             dims = tuple(_read_u32(fh) for _ in range(rank))
-            count = math.prod(dims)
-            payload = _read_exact(fh, 4 * count, f"tensor {name} payload")
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-            if not np.isfinite(tensors[name]).all():
+            _check_left(fh, 4 * math.prod(dims), f"tensor {name} payload")
+            try:
+                tensor = np.empty(dims, dtype="<f4")
+            except ValueError as exc:  # more dimensions than NumPy supports
+                raise FormatError(f"tensor {name}: {exc}") from exc
+            fh.readinto(tensor)
+            # min and max carry a NaN through, and need no mask of the tensor's size
+            if not np.isfinite([tensor.min(initial=0), tensor.max(initial=0)]).all():
                 raise FormatError(f"tensor {name}: non-finite values")
+            tensors[name] = tensor
         end = fh.tell()
         size = fh.seek(0, os.SEEK_END)
         if size != end:

@@ -28,6 +28,7 @@ from .dataio import (
     FRAME_SHIFT,
     Corpus,
     load_manifest,
+    new_file,
     normalize_global,
     normalize_utterance_meeting,
     read_text,
@@ -254,7 +255,8 @@ def cmd_train(run: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "model.ckpt"
     save_checkpoint(checkpoint_path, model)
-    (out_dir / "train.log").write_text("\n".join(log) + "\n")
+    with new_file(out_dir / "train.log", "w") as fh:
+        fh.write("\n".join(log) + "\n")
     for line in log:
         print(line)
     print(f"checkpoint\t{checkpoint_path}")

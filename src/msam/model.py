@@ -31,15 +31,17 @@ from .streams import Stream, StreamConfig, gather_windows, window_starts
 _GRID = {"sample_rate": SAMPLE_RATE, "frame_shift": FRAME_SHIFT}
 
 
-def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray):
+def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray,
+                        input_grads: bool = True):
     """Mean softmax-CE loss of a (B, D) batch, head gradients and the
-    gradient w.r.t. the features, shape (B, D)."""
+    gradient w.r.t. the features, shape (B, D), or None with
+    `input_grads=False`."""
     probs, activations = head_forward_batch(head, features)
     loss = cross_entropy_batch(probs, labels)
     dlogits = probs  # the loss is taken, so probs becomes its gradient in place
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
-    grads, dfeat = head_backward_batch(head, activations, dlogits)
+    grads, dfeat = head_backward_batch(head, activations, dlogits, input_grads)
     return loss, grads, dfeat
 
 
@@ -248,7 +250,8 @@ class FbankDnnModel:
         return probs
 
     def loss_and_grads(self, features: np.ndarray, labels: np.ndarray):
-        loss, grads, _ = head_loss_and_grads(self.head, features, np.asarray(labels))
+        loss, grads, _ = head_loss_and_grads(self.head, features, np.asarray(labels),
+                                             input_grads=False)
         return loss, grads
 
     def to_config(self) -> dict:

@@ -65,24 +65,28 @@ def cross_entropy_batch(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(np.maximum(picked, CE_PROB_FLOOR)).mean())
 
 
-def head_backward_batch(head: DnnHead, activations, dlogits: np.ndarray):
+def head_backward_batch(head: DnnHead, activations, dlogits: np.ndarray,
+                        input_grads: bool = True):
     """Backprop through the head.
 
     `dlogits` is the gradient of the loss w.r.t. the output logits, shape
     (B, C).  Returns (grads, dinput) where grads maps head parameter names
-    to gradients and dinput has shape (B, input_dim).
+    to gradients and dinput has shape (B, input_dim).  With
+    `input_grads=False` (an input that is data) dinput is not computed and
+    None takes its place.
     """
     grads = {}
     last = activations[-1]
     grads["head.output.weight"] = dlogits.T @ last
     grads["head.output.bias"] = dlogits.sum(axis=0)
-    dh = dlogits @ head.output_weight
+    dh, weight = dlogits, head.output_weight
     for j in range(head.num_hidden - 1, -1, -1):
+        dh = dh @ weight
         dh *= activations[j + 1] > 0
         grads[f"head.hidden{j}.weight"] = dh.T @ activations[j]
         grads[f"head.hidden{j}.bias"] = dh.sum(axis=0)
-        dh = dh @ head.hidden_weights[j]
-    return grads, dh
+        weight = head.hidden_weights[j]
+    return grads, (dh @ weight if input_grads else None)
 
 
 def head_params(head: DnnHead) -> dict:

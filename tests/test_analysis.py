@@ -214,6 +214,22 @@ class TestExportAnalysis:
         for name in [p.name for p in (tmp_path / "a").iterdir()]:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_reexport_replaces_the_file_a_reader_has_open(self, tmp_path):
+        """Each CSV was truncated and written over, so a reader that had the
+        old one open read the new rows, or part of them."""
+        export_analysis(load_checkpoint(DATA / "trained_multi_span.ckpt"), tmp_path / "a")
+        path = tmp_path / "a" / "spectra_stream0.csv"
+        old = path.read_bytes()
+        with open(path, "rb") as fh:
+            export_analysis(self._model(), tmp_path / "a")
+            assert fh.read() == old
+        export_analysis(self._model(), tmp_path / "b")
+        for other in (tmp_path / "b").iterdir():
+            assert (tmp_path / "a" / other.name).read_bytes() == other.read_bytes()
+        assert path.read_bytes() != old
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(
+            p.name for p in (tmp_path / "b").iterdir())
+
     def test_spectra_rows_sorted_by_peak(self, tmp_path):
         model = self._model()
         export_analysis(model, tmp_path)

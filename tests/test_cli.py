@@ -147,6 +147,27 @@ class TestTrainCommand:
         for line in log_lines:
             assert len(line.split("\t")) == 4
 
+    def test_rerun_replaces_the_files_a_reader_has_open(self, tmp_path, desk_config):
+        """A second run into the same directory truncated model.ckpt and
+        train.log and wrote over them, so a reader that had either open read
+        the second run's bytes, or part of them."""
+        def train(out, seed):
+            assert main(["train", "--config", desk_config, "--model", "I_15^50",
+                         "--synth", SYNTH, "--out", str(out), "--epochs", "1",
+                         "--seed", seed]) == EXIT_OK
+
+        run, names = tmp_path / "run", ["model.ckpt", "train.log"]
+        train(run, "1")
+        old = [(run / name).read_bytes() for name in names]
+        with open(run / names[0], "rb") as ckpt, open(run / names[1], "rb") as log:
+            train(run, "2")
+            assert [ckpt.read(), log.read()] == old
+        train(tmp_path / "fresh", "2")
+        new = [(run / name).read_bytes() for name in names]
+        assert new == [(tmp_path / "fresh" / name).read_bytes() for name in names]
+        assert all(n != o for n, o in zip(new, old))
+        assert sorted(p.name for p in run.iterdir()) == names
+
     def test_validation_error_exit_code(self, tmp_path):
         assert main(["train", "--model", "M_4^50", "--synth", SYNTH,
                      "--out", str(tmp_path)]) == EXIT_VALIDATION

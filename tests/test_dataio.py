@@ -20,7 +20,7 @@ from msam.errors import DegenerateInputError, FormatError
 from msam.fbank import compute_fbank
 from msam.trainer import FrameDataset
 
-from conftest import BYTE_OPS, line_ops, mutate, span_model, write_wav
+from conftest import BYTE_OPS, line_ops, mutate, span_model, write_new, write_wav
 
 
 def _write_raw_wav(path, samples_int16, channels=1, rate=16000, width=2):
@@ -420,7 +420,7 @@ class TestLoaderFuzz:
     def test_load_wav_loads_or_raises_format_error(self, fuzz_corpus, ops):
         files, folder, _ = fuzz_corpus
         data = mutate(files["u0.wav"], ops)
-        (folder / "m.wav").write_bytes(data)
+        write_new(folder / "m.wav", data)
         try:
             signal = load_wav(folder / "m.wav")
         except FormatError:
@@ -439,7 +439,7 @@ class TestLoaderFuzz:
 
         files, folder, checkpoint = fuzz_corpus
         for name, data in files.items():
-            (folder / name).write_bytes(mutate(data, ops) if name == target else data)
+            write_new(folder / name, mutate(data, ops) if name == target else data)
         try:
             corpus = load_manifest(folder / "c.tsv")
         except FormatError:

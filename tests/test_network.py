@@ -1,3 +1,4 @@
+import errno
 import re
 import struct
 import tracemalloc
@@ -23,6 +24,7 @@ from msam.model import (
 from msam.network import (
     DnnHead,
     cross_entropy_batch,
+    head_backward_batch,
     head_forward_batch,
     head_params,
     softmax,
@@ -39,6 +41,7 @@ from conftest import (
     randomize_biases,
     tiny_stream_config,
     with_config,
+    write_new,
 )
 
 
@@ -230,6 +233,30 @@ class TestModelBackward:
 
         numeric = finite_difference_grads(loss, model.params(), step=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_fbank_step_skips_the_feature_gradient(self, rng):
+        """FBANK features are data, yet the step computed their gradient (the
+        first hidden layer's dh @ W0) and discarded it."""
+        model = build_fbank_model(3, FbankConfig(num_filters=4), context_frames=3,
+                                  hidden_dims=(5, 4), seed=5)
+        randomize_biases(model, rng)
+        feats = rng.uniform(-1, 1, size=(6, model.feature_dim)).astype(np.float32)
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        feature_grads = []
+
+        def recording(*args, **kwargs):
+            result = head_backward_batch(*args, **kwargs)
+            feature_grads.append(result[1])
+            return result
+
+        with mock.patch.object(msam.model, "head_backward_batch", recording):
+            loss, grads = model.loss_and_grads(feats, labels)
+        assert len(feature_grads) == 1 and feature_grads[0] is None
+        full_loss, full_grads, dfeat = head_loss_and_grads(model.head, feats, labels)
+        assert dfeat.shape == feats.shape
+        assert loss == full_loss and grads.keys() == full_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == full_grads[name].tobytes(), name
 
 
 class TestParamShapes:
@@ -460,7 +487,8 @@ class TestCheckpoint:
             probs, expected = model.forward_batch(windows), reference["multi_span_probs"]
         np.testing.assert_array_equal(probs, expected)
 
-    @pytest.mark.parametrize("name", ["trained_multi_span", "tiny_fbank"])
+    @pytest.mark.parametrize("name", ["trained_multi_span", "tiny_fbank", "trained_fbank",
+                                      "tiny_multi_span"])
     def test_load_draws_no_random_weights(self, tmp_path, name):
         """The loader drew a Glorot-initialized model, then overwrote it."""
         with mock.patch.object(msam.model, "glorot_uniform", side_effect=AssertionError):
@@ -478,6 +506,35 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="payload: truncated"):
             load_checkpoint(path)
 
+    def test_rank_numpy_cannot_hold_rejected(self, tmp_path):
+        """A 65-dimensional tensor of one element escaped as NumPy's
+        ValueError, so `msam eval` exited 1 instead of 2."""
+        path, blob = self._saved_blob(tmp_path)
+        at = self._first_name_offset(blob)
+        rank_at = at + 4 + int.from_bytes(blob[at : at + 4], "little")
+        rank = int.from_bytes(blob[rank_at : rank_at + 4], "little")
+        dims = struct.pack("<66I", 65, *[1] * 65)
+        path.write_bytes(bytes(blob[:rank_at]) + dims + bytes(blob[rank_at + 4 + 4 * rank :]))
+        with pytest.raises(FormatError, match="tensor head.hidden0.weight: "):
+            load_checkpoint(path)
+        assert main(["eval", str(path), "--synth", "classes=3,utterances=1,duration=0.5"]) == EXIT_IO
+
+    def test_load_holds_each_tensor_once(self, tmp_path):
+        """The loader read each payload into a bytes object and copied it into
+        its array, so it held the largest tensor twice: here a peak of 2.1x
+        the file."""
+        model = build_fbank_model(3006, hidden_dims=(512,), seed=0)
+        path = save_checkpoint(tmp_path / "m.ckpt", model)
+        size = path.stat().st_size
+        assert model.head.output_weight.nbytes > size / 2
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * size
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path, blob = self._saved_blob(tmp_path)
         path.write_bytes(bytes(blob) + b"\x00")
@@ -493,6 +550,55 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+class TestCheckpointWrite:
+    """`save_checkpoint` writes a new file and puts it in place once it is
+    complete; it used to truncate the old file and write over it."""
+
+    @staticmethod
+    def _model(seed):
+        return build_fbank_model(3, FbankConfig(num_filters=4), hidden_dims=(4,), seed=seed)
+
+    def test_reader_of_the_old_file_keeps_its_bytes(self, tmp_path):
+        """A reader that had the old checkpoint open read the new one, or
+        half of it."""
+        path = save_checkpoint(tmp_path / "m.ckpt", self._model(1))
+        old = path.read_bytes()
+        with open(path, "rb") as fh:
+            save_checkpoint(path, self._model(2))
+            assert fh.read() == old
+        save_checkpoint(tmp_path / "fresh.ckpt", self._model(2))
+        assert path.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes() != old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.ckpt", "m.ckpt"]
+
+    def test_failed_save_leaves_the_old_checkpoint(self, tmp_path, monkeypatch):
+        """The save fails after the header and every tensor but the last are
+        written; writing over the old checkpoint had already truncated it."""
+        path = save_checkpoint(tmp_path / "m.ckpt", self._model(1))
+        old = path.read_bytes()
+        model = self._model(2)
+        params = model.params()
+
+        class FullDisk:
+            """The last tensor; writing it fails as on a full disk."""
+            ndim, shape = params["head.output.bias"].ndim, params["head.output.bias"].shape
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(model, "params", lambda: {**params, "head.output.bias": FullDisk()})
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, model)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_save_to_a_directory_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "m.ckpt").mkdir()
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "m.ckpt", self._model(1))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        assert not any((tmp_path / "m.ckpt").iterdir())
 
 
 # JSON edits of a checkpoint config: set or delete any value, or add a key
@@ -567,7 +673,7 @@ class TestCheckpointFuzz:
         from io import StringIO
 
         path = folder / "m.ckpt"
-        path.write_bytes(blob)
+        write_new(path, blob)
         try:
             load_checkpoint(path)
             loaded = True
