@@ -61,6 +61,22 @@ def mel_filterbank(config: FbankConfig) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
+def band_sums(spectra: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """`filters @ spectra` for (bins, frames) spectra and (num_filters, bins)
+    filters that are each zero outside one contiguous band, summed one band
+    tap at a time in a fixed order.  Elementwise sums round the same on any
+    BLAS kernel or SIMD width; a matrix product's reduction order does not."""
+    support = filters > 0
+    lo, width = support.argmax(axis=1), support.sum(axis=1)
+    taps = np.arange(width.max())
+    bins = np.minimum(lo[:, None] + taps, filters.shape[1] - 1)
+    weights = np.where(taps < width[:, None], np.take_along_axis(filters, bins, axis=1), 0.0)
+    energies = np.zeros((len(filters), spectra.shape[1]))
+    for tap in taps:
+        energies += weights[:, tap, None] * spectra[bins[:, tap]]
+    return energies
+
+
 def compute_fbank(signal, config: FbankConfig = FbankConfig()) -> np.ndarray:
     """Log Mel energies per frame, shape (num_frames, num_filters); a signal
     shorter than one frame is a GeometryError from `sliding_windows`."""
@@ -68,8 +84,8 @@ def compute_fbank(signal, config: FbankConfig = FbankConfig()) -> np.ndarray:
     window = np.hamming(config.frame_size)
     frames = sliding_windows(samples, config.frame_size, FRAME_SHIFT) * window
     spectra = np.abs(np.fft.rfft(frames, n=config.fft_size, axis=1))
-    energies = spectra @ mel_filterbank(config).T
-    return np.log(np.maximum(energies, LOG_FLOOR))
+    energies = band_sums(np.ascontiguousarray(spectra.T), mel_filterbank(config))
+    return np.log(np.maximum(energies.T, LOG_FLOOR))
 
 
 def stack_context(features: np.ndarray, num_frames: int) -> np.ndarray:

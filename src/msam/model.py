@@ -57,38 +57,152 @@ def stream_stack(stream: Stream, windows: np.ndarray):
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
     """`np.unique(values)` by one sort; NumPy 2's hash-based unique is ~20x
-    slower on the (frames, map size) position grids eval builds."""
+    slower on (frames, map size) grids of positions."""
     v = np.sort(values, axis=None)
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
-def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers) -> np.ndarray:
-    """`stream_stack` outputs of the frames centred at `centers` in `buffer`,
-    shape (B, output_dim), computing conv1 once per distinct sample position
-    and conv2 once per distinct window.
+def conv_tables(cfg: StreamConfig, starts: np.ndarray):
+    """Which frames of windows starting at `starts` take the table path,
+    and the rows it convolves for them; None if no frame does.
 
-    Distinct conv1 positions are ordered by phase (position mod stride),
-    then by position, so a frame's first_map_size positions are consecutive
-    rows of the conv1 table and its conv2 input is one slice of that table
-    flattened.
+    A frame takes the table path iff it reads a conv1 sample position that
+    another frame of the batch reads.  Each such frame saves at least one
+    conv1 row, so the table path does fewer conv MACs than those frames'
+    windows; every other frame would add all its rows to the table, and
+    takes the window path instead.  Only `starts` and the geometry are
+    read: a geometry in which two frames FRAME_SHIFT apart read no common
+    position returns None without looking at the batch.
+
+    Returns (shared, positions, offsets, index): the (B,) mask of the
+    frames that take the table path; their distinct conv1 positions,
+    ordered by phase (position mod stride), then position, so a frame's
+    first_map_size positions are consecutive rows of the conv1 table and
+    its conv2 input is one slice of that table flattened; the distinct
+    conv2 windows as sorted offsets into the flat table; and each shared
+    frame's conv2 windows as rows of `offsets`, shape (shared frames,
+    second_map_size).
+    """
+    s, m1, k1 = cfg.first_stride, cfg.first_map_size, cfg.first_num_kernels
+    if lcm(FRAME_SHIFT, s) > s * (m1 - 1):
+        return None
+
+    def steps(order):
+        # Lattice steps from each frame to the one before it of the same
+        # phase, which reads furthest of all before it; m1 across phases,
+        # where the step is not a multiple of the stride.
+        step = np.diff(starts[order])
+        return np.where(step % s == 0, np.minimum(step // s, m1), m1)
+
+    order = np.lexsort((starts, starts % s))
+    overlaps = steps(order) < m1
+    shared = np.zeros(len(starts), dtype=bool)
+    shared[order[1:][overlaps]] = shared[order[:-1][overlaps]] = True
+    if not shared.any():
+        return None
+    # Rows each shared frame adds to the table, so that its positions are
+    # the m1 rows that end with its own.
+    order = order[shared[order]]
+    new = np.full(len(order), m1)
+    new[1:] = steps(order)
+    rows = int(new.sum())
+    row0 = np.cumsum(new) - m1
+    flat = k1 * row0[:, None] + cfg.second_stride * np.arange(cfg.second_map_size)
+    offsets = sorted_distinct(flat)
+    index = np.empty((len(starts), cfg.second_map_size), dtype=flat.dtype)
+    index[order] = np.searchsorted(offsets, flat)
+    positions = np.repeat(starts[order] - s * row0, new) + s * np.arange(rows)
+    return shared, positions, offsets, index[shared]
+
+
+def window_outputs_at(stream: Stream, buffer: np.ndarray, centers):
+    """`stream_outputs_at` by one gathered window per frame."""
+    w = gather_windows(buffer, centers, stream.config.input_span)
+    y, o = stream_stack(stream, w)
+
+    def backward(do):
+        dw2, db2, dy = conv1d_backward_batch(y.reshape(len(w), -1), stream.second_layer, do)
+        dy = dy.reshape(y.shape)
+        dy *= y > 0
+        # conv1's input is the waveform: its gradient would be discarded.
+        dw1, db1, _ = conv1d_backward_batch(w, stream.first_layer, dy, input_grads=False)
+        return dw1, db1, dw2, db2
+
+    return o, backward
+
+
+def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, index):
+    """`stream_outputs_at` of the frames whose conv2 windows `index` reads
+    from `conv_tables`' rows: conv1 runs once per distinct sample position
+    and conv2 once per distinct window, forward and backward.
+
+    The conv1 rows are kept for the backward.  The conv2 rows are gathered
+    again for conv2's weight gradient and dropped before its input
+    gradients are made: holding either raised peak memory and saved no
+    time.  Windows whose offsets share a residue mod second_kernel_len lie
+    at least a kernel apart, so each residue's input gradients add into
+    the flat conv1 table as whole rows of a (-1, second_kernel_len) view.
     """
     cfg = stream.config
-    s = cfg.first_stride
-    starts = window_starts(buffer, centers, cfg.input_span)
-    pos = starts[:, None] + s * np.arange(cfg.first_map_size)
-    keys = (pos % s) * len(buffer) + pos  # phase-major; key mod len(buffer) is the position
-    distinct = sorted_distinct(keys)
-    windows = np.lib.stride_tricks.sliding_window_view(buffer, cfg.first_kernel_len)
-    y = conv1d_forward_batch(windows[distinct % len(buffer)], stream.first_layer)
+    l2 = cfg.second_kernel_len
+    rows1 = np.lib.stride_tricks.sliding_window_view(buffer, cfg.first_kernel_len)[positions]
+    y = conv1d_forward_batch(rows1, stream.first_layer)
     np.maximum(y, 0, out=y)
-    row0 = np.searchsorted(distinct, keys[:, 0])
-    flat = cfg.first_num_kernels * row0[:, None] + cfg.second_stride * np.arange(cfg.second_map_size)
-    distinct2 = sorted_distinct(flat)
-    windows2 = np.lib.stride_tricks.sliding_window_view(y.reshape(-1), cfg.second_kernel_len)
-    o = conv1d_forward_batch(windows2[distinct2], stream.second_layer)
+    flat = y.reshape(-1)
+    windows2 = np.lib.stride_tricks.sliding_window_view(flat, l2)
+    o = conv1d_forward_batch(windows2[offsets], stream.second_layer).reshape(len(offsets), -1)
     np.maximum(o, 0, out=o)
-    o = o.reshape(len(distinct2), -1)[np.searchsorted(distinct2, flat)]
-    return o.reshape(len(starts), -1)
+
+    def backward(do):
+        # Each distinct window's gradient is the sum over the frames that read it.
+        k2 = cfg.second_num_kernels
+        do2 = np.zeros((len(offsets), 1, k2), dtype=do.dtype)
+        np.add.at(do2.reshape(-1), (k2 * index[..., None] + np.arange(k2)).reshape(-1),
+                  do.reshape(-1))
+        dw2, db2, _ = conv1d_backward_batch(windows2[offsets], stream.second_layer, do2,
+                                            input_grads=False)
+        by_residue = np.argsort(offsets % l2, kind="stable")
+        drows = do2[by_residue, 0] @ stream.second_layer.weights
+        ordered = offsets[by_residue]
+        residues = ordered % l2
+        bounds = np.flatnonzero(np.diff(residues, prepend=-1, append=l2))
+        dy = np.zeros_like(flat)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            q, lanes = residues[a], (ordered[a:b] - residues[a]) // l2
+            dy[q : q + l2 * (lanes[-1] + 1)].reshape(-1, l2)[lanes] += drows[a:b]
+        dy = dy.reshape(y.shape)
+        dy *= y > 0
+        dw1, db1, _ = conv1d_backward_batch(rows1, stream.first_layer, dy, input_grads=False)
+        return dw1, db1, dw2, db2
+
+    return o[index].reshape(len(index), -1), backward
+
+
+def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers):
+    """`stream_stack` outputs of the frames centred at `centers` in
+    `buffer`, shape (B, output_dim), and their backward: a function from
+    the ReLU-masked output gradients, shape (B, second_map_size,
+    second_num_kernels), to the conv1 and conv2 weight and bias gradients.
+
+    The frames `conv_tables` picks take the table path; the others take
+    the window path.
+    """
+    centers = np.asarray(centers)
+    tables = conv_tables(stream.config, window_starts(buffer, centers, stream.config.input_span))
+    if tables is None:
+        return window_outputs_at(stream, buffer, centers)
+    shared, *rows = tables
+    o, backward = table_outputs_at(stream, buffer, *rows)
+    if shared.all():
+        return o, backward
+    o_window, backward_window = window_outputs_at(stream, buffer, centers[~shared])
+    outputs = np.empty((len(centers), o.shape[1]), dtype=o.dtype)
+    outputs[shared], outputs[~shared] = o, o_window
+
+    def backward_both(do):
+        return [a + b for a, b in zip(backward(do[shared]), backward_window(do[~shared]))]
+
+    return outputs, backward_both
 
 
 class RawWaveformModel:
@@ -126,7 +240,7 @@ class RawWaveformModel:
     def _project(self, stream: Stream, o: np.ndarray) -> np.ndarray:
         return o @ stream.projection.T if self.kind == "multi_span" else o
 
-    def features_batch(self, windows: Sequence[np.ndarray], cache=None) -> np.ndarray:
+    def features_batch(self, windows: Sequence[np.ndarray]) -> np.ndarray:
         """Feature vectors for per-stream window batches, shape (B, feature_dim).
 
         Per stream: conv1 -> ReLU -> conv2 -> ReLU on frame-major maps, then
@@ -138,27 +252,20 @@ class RawWaveformModel:
                 raise GeometryError(
                     f"window length {w.shape[1]} != stream span {stream.config.input_span}"
                 )
-            y, o = stream_stack(stream, w)
-            if cache is not None:
-                cache.append((w, y, o))
-            parts.append(self._project(stream, o))
+            parts.append(self._project(stream, stream_stack(stream, w)[1]))
         return np.concatenate(parts, axis=1)
 
-    def features_at(self, buffer: np.ndarray, centers) -> np.ndarray:
+    def features_at(self, buffer: np.ndarray, centers, cache=None) -> np.ndarray:
         """Feature vectors of the frames centred at `centers` in `buffer`,
-        shape (B, feature_dim): `features_batch` of their `gather_windows`.
-
-        A stream in which two frames FRAME_SHIFT apart can read a common
-        conv1 position takes `stream_outputs_at`; any other stream's windows
-        are gathered and run through `stream_stack`, as in training.
-        """
+        shape (B, feature_dim): `features_batch` of their `gather_windows`,
+        each stream run by `stream_outputs_at`.  With a `cache` list, each
+        stream's (outputs, backward) pair is appended to it."""
         parts = []
         for stream in self.streams:
-            cfg = stream.config
-            if lcm(FRAME_SHIFT, cfg.first_stride) <= cfg.first_stride * (cfg.first_map_size - 1):
-                o = stream_outputs_at(stream, buffer, centers)
-            else:
-                o = stream_stack(stream, gather_windows(buffer, centers, cfg.input_span))[1]
+            o, backward = stream_outputs_at(stream, buffer, centers)
+            if cache is not None:
+                cache.append((o, backward))
+            del backward  # unless cached, its tables go before the next stream builds its own
             parts.append(self._project(stream, o))
         return np.concatenate(parts, axis=1)
 
@@ -172,14 +279,15 @@ class RawWaveformModel:
         probs, _ = head_forward_batch(self.head, self.features_at(buffer, centers))
         return probs
 
-    def loss_and_grads(self, windows: Sequence[np.ndarray], labels: np.ndarray):
-        """Mean CE loss over the batch and exact gradients per parameter."""
+    def loss_and_grads(self, buffer: np.ndarray, centers, labels: np.ndarray):
+        """Mean CE loss over the frames centred at `centers` in `buffer` and
+        exact gradients per parameter."""
         labels = np.asarray(labels)
         stream_cache = []
-        feats = self.features_batch(windows, cache=stream_cache)
+        feats = self.features_at(buffer, centers, cache=stream_cache)
         loss, grads, dfeat = head_loss_and_grads(self.head, feats, labels)
         offset = 0
-        for i, (stream, (w, y, o)) in enumerate(zip(self.streams, stream_cache)):
+        for i, (stream, (o, backward)) in enumerate(zip(self.streams, stream_cache)):
             if self.kind == "multi_span":
                 dim = stream.config.projection_dim
                 dblock = dfeat[:, offset : offset + dim]
@@ -190,16 +298,9 @@ class RawWaveformModel:
                 do = dfeat[:, offset : offset + dim]
             offset += dim
             do *= o > 0
-            do = do.reshape(len(w), -1, stream.config.second_num_kernels)
-            dw2, db2, dy = conv1d_backward_batch(y.reshape(len(w), -1), stream.second_layer, do)
-            grads[f"stream{i}.conv2.weights"] = dw2
-            grads[f"stream{i}.conv2.biases"] = db2
-            dy = dy.reshape(y.shape)
-            dy *= y > 0
-            # conv1's input is the waveform: its gradient would be discarded.
-            dw1, db1, _ = conv1d_backward_batch(w, stream.first_layer, dy, input_grads=False)
-            grads[f"stream{i}.conv1.weights"] = dw1
-            grads[f"stream{i}.conv1.biases"] = db1
+            (grads[f"stream{i}.conv1.weights"], grads[f"stream{i}.conv1.biases"],
+             grads[f"stream{i}.conv2.weights"], grads[f"stream{i}.conv2.biases"]) = backward(
+                do.reshape(len(o), -1, stream.config.second_num_kernels))
         return loss, grads
 
     def to_config(self) -> dict:

@@ -262,7 +262,11 @@ def train_epoch(model, config: TrainConfig, state: TrainerState):
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
-        loss, grads = model.loss_and_grads(dataset.inputs(chunk), dataset.labels[chunk])
+        if dataset.features is None:
+            loss, grads = model.loss_and_grads(dataset.buffer, dataset.centers[chunk],
+                                               dataset.labels[chunk])
+        else:
+            loss, grads = model.loss_and_grads(dataset.features[chunk], dataset.labels[chunk])
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite training loss in epoch {state.epoch + 1}, "

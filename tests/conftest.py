@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from msam.dataio import SAMPLE_RATE
+from msam.dataio import FRAME_SHIFT, SAMPLE_RATE
 from msam.model import build_raw_model
 from msam.streams import StreamConfig
 
@@ -28,6 +28,14 @@ def tiny_stream_config(stride: int, kernel_len: int = 5) -> StreamConfig:
         second_num_kernels=3,
         projection_dim=2,
     )
+
+
+def frames_in_buffer(rng, model, count):
+    """A uniform(-1, 1) buffer and `count` frame centres FRAME_SHIFT apart
+    in it, each window inside the buffer."""
+    margin = max(model.spans)
+    centers = margin + FRAME_SHIFT * np.arange(count)
+    return rng.uniform(-1, 1, size=centers[-1] + margin), centers
 
 
 def span_model(spans, dtype=np.float64):

@@ -25,6 +25,7 @@ from msam.trainer import (
 
 from conftest import (
     finite_difference_grads,
+    frames_in_buffer,
     max_relative_error,
     randomize_biases,
     tiny_stream_config,
@@ -104,12 +105,12 @@ class TestAcceptance:
                 hidden_dims=(2, 2), seed=31, dtype=np.float64,
             )
             randomize_biases(model, rng)
-            windows = [rng.uniform(-1, 1, size=(2, span)) for span in model.spans]
+            buffer, centers = frames_in_buffer(rng, model, 2)
             labels = np.array([0, 2])
-            _, analytic = model.loss_and_grads(windows, labels)
+            _, analytic = model.loss_and_grads(buffer, centers, labels)
 
-            def loss(m=model, w=windows, y=labels):
-                return m.loss_and_grads(w, y)[0]
+            def loss(m=model, b=buffer, c=centers, y=labels):
+                return m.loss_and_grads(b, c, y)[0]
 
             numeric = finite_difference_grads(loss, model.params(), step=1e-5)
             worst = max(worst, max_relative_error(analytic, numeric))

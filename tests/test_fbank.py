@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import msam
 from msam.conv import output_map_size
 from msam.dataio import SAMPLE_RATE
 from msam.errors import GeometryError
 from msam.fbank import (
     LOG_FLOOR,
     FbankConfig,
+    band_sums,
     compute_fbank,
     hz_to_mel,
     mel_filterbank,
@@ -86,6 +93,48 @@ class TestComputeFbank:
     def test_too_short_signal_raises(self):
         with pytest.raises(GeometryError):
             compute_fbank(np.zeros(399), FbankConfig())
+
+
+def numpy_uses_openblas() -> bool:
+    try:
+        return "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"].lower()
+    except (AttributeError, KeyError, TypeError):
+        return False
+
+
+def cpu_has_avx2() -> bool:
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+
+
+class TestBlasIndependence:
+    @pytest.mark.parametrize("num_filters", [4, 40, 128])
+    def test_band_sums_equal_the_matrix_product(self, rng, num_filters):
+        """128 filters over 257 bins leave some bands a single bin wide."""
+        filters = mel_filterbank(FbankConfig(num_filters=num_filters))
+        spectra = rng.uniform(0, 10, size=(filters.shape[1], 30))
+        np.testing.assert_allclose(band_sums(spectra, filters), filters @ spectra, rtol=1e-13)
+
+    @pytest.mark.skipif(not numpy_uses_openblas(),
+                        reason="NumPy's BLAS is not OpenBLAS, so OPENBLAS_CORETYPE selects nothing")
+    @pytest.mark.skipif(not cpu_has_avx2(),
+                        reason="/proc/cpuinfo lists no avx2, which OpenBLAS's Haswell kernels need")
+    def test_features_are_identical_under_the_haswell_kernel(self, rng, tmp_path):
+        """A child process whose OpenBLAS runs its Haswell (AVX2) kernels
+        computes the same feature bytes as this process; the float64 dgemm
+        that projected spectra onto the filters differed in its last bits."""
+        signal = rng.normal(size=16000)
+        np.save(tmp_path / "signal.npy", signal)
+        src = str(Path(msam.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, numpy as np; from msam.fbank import compute_fbank; "
+                "sys.stdout.buffer.write(compute_fbank(np.load(sys.argv[1])).tobytes())")
+        child = subprocess.run([sys.executable, "-c", code, str(tmp_path / "signal.npy")],
+                               env=env, capture_output=True, check=True)
+        assert child.stdout == compute_fbank(signal).tobytes()
 
 
 class TestStackContext:

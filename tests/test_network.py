@@ -29,13 +29,14 @@ from msam.network import (
     head_params,
     softmax,
 )
-from msam.streams import desk_scale_config, gather_windows
+from msam.streams import StreamConfig, desk_scale_config, gather_windows
 from msam.trainer import PretrainSchedule, pretrain_transition
 
 from conftest import (
     BYTE_OPS,
     DATA,
     finite_difference_grads,
+    frames_in_buffer,
     max_relative_error,
     mutate,
     randomize_biases,
@@ -151,6 +152,18 @@ def _tiny_single_span(rng):
     return model
 
 
+def _sharing_multi_span(rng):
+    """One stream whose frames FRAME_SHIFT apart read common conv1
+    positions, so the step takes the table path, and one that never does."""
+    sharing = StreamConfig(first_stride=16, first_kernel_len=8, first_map_size=16,
+                           first_num_kernels=2, second_stride=8, second_kernel_len=8,
+                           second_map_size=4, second_num_kernels=3, projection_dim=2)
+    model = build_raw_model("multi_span", [sharing, tiny_stream_config(3)], 3,
+                            hidden_dims=(2,), seed=13, dtype=np.float64)
+    randomize_biases(model, rng)
+    return model
+
+
 class TestModelBackward:
     def test_softmax_ce_logit_gradient_identity(self, rng):
         head = seeded_head(5, (), 4)
@@ -175,22 +188,23 @@ class TestModelBackward:
 
     def test_one_hot_optimum_gives_near_zero_grads(self, rng):
         model = _tiny_single_span(rng)
-        windows = [rng.normal(size=(1, model.spans[0]))]
+        buffer, centers = frames_in_buffer(rng, model, 1)
         # Drive the output layer to near-certainty for the label.
         model.head.output_weight *= 0.0
         model.head.output_bias[...] = np.array([50.0, -50.0, -50.0])
-        _, grads = model.loss_and_grads(windows, np.array([0]))
+        _, grads = model.loss_and_grads(buffer, centers, np.array([0]))
         assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-12
 
-    @pytest.mark.parametrize("builder", [_tiny_single_span, _tiny_multi_span])
+    @pytest.mark.parametrize("builder", [_tiny_single_span, _tiny_multi_span,
+                                         _sharing_multi_span])
     def test_finite_difference_end_to_end(self, rng, builder):
         model = builder(rng)
-        windows = [rng.uniform(-1, 1, size=(2, span)) for span in model.spans]
+        buffer, centers = frames_in_buffer(rng, model, 2)
         labels = np.array([0, 2])
-        _, analytic = model.loss_and_grads(windows, labels)
+        _, analytic = model.loss_and_grads(buffer, centers, labels)
 
         def loss():
-            return model.loss_and_grads(windows, labels)[0]
+            return model.loss_and_grads(buffer, centers, labels)[0]
 
         numeric = finite_difference_grads(loss, model.params(), step=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -205,11 +219,11 @@ class TestModelBackward:
         """conv1 reads the waveform, so its backward computes weight and bias
         gradients only; conv2's input gradients feed conv1's."""
         model = build_raw_model(kind, configs, 3, hidden_dims=(4,), seed=3)
-        windows = [rng.uniform(-1, 1, size=(4, span)) for span in model.spans]
+        buffer, centers = frames_in_buffer(rng, model, 4)
         labels = np.array([0, 1, 2, 1])
         with mock.patch.object(msam.model, "conv1d_backward_batch",
                                wraps=conv1d_backward_batch) as spy:
-            model.loss_and_grads(windows, labels)
+            model.loss_and_grads(buffer, centers, labels)
         asked = [(id(c.args[1]), c.kwargs.get("input_grads", True)) for c in spy.call_args_list]
         expected = []
         for stream in model.streams:

@@ -31,7 +31,7 @@ from msam.trainer import (
     train_model,
 )
 
-from conftest import span_model, tiny_stream_config
+from conftest import randomize_biases, span_model, tiny_stream_config
 
 
 class TestSgdStep:
@@ -302,10 +302,19 @@ def distinct_counts(config, centers):
     return len(np.unique(positions)), windows.shape[1]
 
 
+def shared_frames(config, centers):
+    """Frames that read a conv1 sample position another frame reads."""
+    starts = np.asarray(centers) - (config.input_span + 1) // 2
+    positions = starts[:, None] + config.first_stride * np.arange(config.first_map_size)
+    _, inverse, counts = np.unique(positions, return_inverse=True, return_counts=True)
+    return (counts[inverse.reshape(positions.shape)] > 1).any(axis=1)
+
+
 def conv_batches(model, buffer, centers, compute=True):
-    """features_at of the frames, and per stream the (conv1, conv2) shapes of
-    the batches it passed to conv1d_forward_batch.  With compute=False the
-    convolutions return zeros, which counts rows without doing the work."""
+    """features_at of the frames, and per stream the lists of (conv1, conv2)
+    shapes of the batches it passed to conv1d_forward_batch.  With
+    compute=False the convolutions return zeros, which counts rows without
+    doing the work."""
     shapes = {}
     original = msam.model.conv1d_forward_batch
 
@@ -318,23 +327,122 @@ def conv_batches(model, buffer, centers, compute=True):
 
     with mock.patch.object(msam.model, "conv1d_forward_batch", spy):
         features = model.features_at(buffer, centers)
-    return features, [(*shapes[id(s.first_layer)], *shapes[id(s.second_layer)])
+    return features, [(shapes[id(s.first_layer)], shapes[id(s.second_layer)])
                       for s in model.streams]
 
 
 def assert_conv_batches(model, centers, batches):
-    """Each stream that shares positions convolves each distinct conv1
-    position and conv2 window once; every other stream convolves its
-    gathered windows."""
+    """A stream that shares positions convolves each distinct conv1 position
+    and conv2 window of its frames that read a common position once, then
+    the gathered windows of its other frames; every other stream convolves
+    its gathered windows."""
     for stream, (conv1, conv2) in zip(model.streams, batches):
         cfg = stream.config
-        if shares_positions(cfg):
-            rows1, rows2 = distinct_counts(cfg, centers)
-            assert conv1 == (rows1, cfg.first_kernel_len)
-            assert conv2 == (rows2, cfg.second_kernel_len)
-        else:
-            assert conv1 == (len(centers), cfg.input_span)
-            assert conv2 == (len(centers), cfg.first_map_size * cfg.first_num_kernels)
+        shared = shared_frames(cfg, centers) & shares_positions(cfg)
+        expected1, expected2 = [], []
+        if shared.any():
+            rows1, rows2 = distinct_counts(cfg, np.asarray(centers)[shared])
+            expected1.append((rows1, cfg.first_kernel_len))
+            expected2.append((rows2, cfg.second_kernel_len))
+        if not shared.all():
+            rest = int((~shared).sum())
+            expected1.append((rest, cfg.input_span))
+            expected2.append((rest, cfg.first_map_size * cfg.first_num_kernels))
+        assert (conv1, conv2) == (expected1, expected2)
+
+
+UTTERANCE_LENGTHS = st.lists(st.integers(1, 6000), min_size=1, max_size=3)
+SMALL_STREAMS = st.lists(st.tuples(st.sampled_from(SMALL_STRIDES), st.sampled_from(SMALL_GEOMETRIES)),
+                         min_size=1, max_size=2)
+
+
+def small_dataset(lengths, streams, dtype, seed):
+    """A seeded model of small streams and the FrameDataset of random
+    utterances of the given lengths; also the rng, for drawing frames."""
+    rng = np.random.default_rng(seed)
+    configs = [small_config(stride, geometry) for stride, geometry in streams]
+    kind = "single_span" if len(configs) == 1 else "multi_span"
+    model = build_raw_model(kind, configs, 3, hidden_dims=(4,), seed=seed, dtype=dtype)
+    # Frame counts are drawn apart from lengths, so some labels outrun their samples.
+    utterances = [
+        Utterance(f"u{i}", Signal(rng.normal(size=n)),
+                  rng.integers(0, 3, size=rng.integers(1, n // FRAME_SHIFT + 4)))
+        for i, n in enumerate(lengths)
+    ]
+    return model, FrameDataset(model, Corpus(utterances, 3)), rng
+
+
+PAPER = [StreamConfig(first_stride=s, first_kernel_len=50) for s in (4, 9, 15)]
+
+
+class TestPathRule:
+    """Per stream and batch, the table path runs for exactly the frames that
+    read a conv1 position another frame of the batch reads."""
+
+    @staticmethod
+    def frames_per_path(configs, centers):
+        model = build_raw_model("multi_span", configs, 3, hidden_dims=(4,))
+        buffer = np.random.default_rng(0).normal(size=centers[-1] + 2000).astype(np.float32)
+        with mock.patch.object(msam.model, "table_outputs_at",
+                               wraps=msam.model.table_outputs_at) as table, \
+             mock.patch.object(msam.model, "window_outputs_at",
+                               wraps=msam.model.window_outputs_at) as window:
+            model.loss_and_grads(buffer, centers, np.zeros(len(centers), dtype=int))
+        return ([len(c.args[4]) for c in table.call_args_list],
+                [len(c.args[2]) for c in window.call_args_list])
+
+    def test_overlapping_frames_take_the_table_path(self):
+        """32 consecutive frames: every frame shares a position in each
+        paper stream, 9 frames apart at S=9."""
+        centers = 2000 + FRAME_SHIFT * np.arange(32)
+        assert self.frames_per_path(PAPER, centers) == ([32, 32, 32], [])
+
+    def test_frames_more_than_a_span_apart_take_the_window_path(self):
+        centers = 2000 + 3200 * np.arange(8)
+        assert max(cfg.input_span for cfg in PAPER) < 3200
+        assert self.frames_per_path(PAPER, centers) == ([], [8, 8, 8])
+        _, batches = conv_batches(build_raw_model("multi_span", PAPER, 3, hidden_dims=()),
+                                  np.zeros(centers[-1] + 2000, dtype=np.float32), centers,
+                                  compute=False)
+        assert [conv1 for conv1, _ in batches] == [[(8, cfg.input_span)] for cfg in PAPER]
+
+    def test_frames_that_share_nothing_take_the_window_path(self):
+        """Runs of 3 and 10 frames, a span apart.  At S=4 neighbours share;
+        at S=9 only frames 9 apart do, and at S=15 frames 3, 6, ... apart."""
+        centers = np.concatenate([2000 + FRAME_SHIFT * np.arange(3),
+                                  9000 + FRAME_SHIFT * np.arange(10)])
+        assert self.frames_per_path(PAPER, centers) == ([13, 2, 10], [11, 3])
+
+    def test_desk_streams_take_the_window_path(self):
+        centers = 2000 + FRAME_SHIFT * np.arange(32)
+        desk = [desk_scale_config(s, 50) for s in (4, 9, 15)]
+        assert self.frames_per_path(desk, centers) == ([], [32, 32, 32])
+        # The geometry decides before the batch is read.
+        assert all(msam.model.conv_tables(cfg, None) is None for cfg in desk)
+
+    @given(lengths=UTTERANCE_LENGTHS, streams=SMALL_STREAMS, seed=st.integers(0, 2**16),
+           batch_size=st.integers(1, 120))
+    @settings(max_examples=80, deadline=None)
+    def test_gradients_match_window_path(self, lengths, streams, seed, batch_size):
+        """In float64 every parameter gradient of the step equals the window
+        path's to 1e-12, over dense runs that cross utterances, sparse sets
+        and single frames."""
+        model, dataset, rng = small_dataset(lengths, streams, np.float64, seed)
+        randomize_biases(model, rng)
+        n = len(dataset)
+        sparse = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+        chunks = [idxs[i : i + batch_size] for idxs in (np.arange(n), sparse)
+                  for i in range(0, len(idxs), batch_size)]
+        chunks.append(rng.integers(n, size=1))
+        for chunk in chunks:
+            args = dataset.buffer, dataset.centers[chunk], dataset.labels[chunk]
+            loss, grads = model.loss_and_grads(*args)
+            with mock.patch.object(msam.model, "conv_tables", return_value=None):
+                expected_loss, expected = model.loss_and_grads(*args)
+            assert loss == pytest.approx(expected_loss, rel=1e-12)
+            for name, g in expected.items():
+                np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
+                                           err_msg=name)
 
 
 class TestEvaluateFrames:
@@ -345,11 +453,10 @@ class TestEvaluateFrames:
         streams gather windows."""
         centers = 2000 + FRAME_SHIFT * np.arange(1024)
         buffer = np.zeros(centers[-1] + 2000, dtype=np.float32)
-        paper = [StreamConfig(first_stride=s, first_kernel_len=50) for s in (4, 9, 15)]
-        model = build_raw_model("multi_span", paper, 3, hidden_dims=())
+        model = build_raw_model("multi_span", PAPER, 3, hidden_dims=())
         _, batches = conv_batches(model, buffer, centers, compute=False)
         assert_conv_batches(model, centers, batches)
-        for cfg, (conv1, conv2), bound in zip(paper, batches, (1.7721e6, 3.8207e6, 0.7696e6)):
+        for cfg, ([conv1], [conv2]), bound in zip(PAPER, batches, (1.7721e6, 3.8207e6, 0.7696e6)):
             assert shares_positions(cfg)
             macs = (conv1[0] * cfg.first_num_kernels * cfg.first_kernel_len
                     + conv2[0] * cfg.second_num_kernels * cfg.second_kernel_len)
@@ -358,7 +465,7 @@ class TestEvaluateFrames:
         assert not any(shares_positions(cfg) for cfg in desk)
         model = build_raw_model("multi_span", desk, 3, hidden_dims=())
         _, batches = conv_batches(model, buffer, centers, compute=False)
-        assert [conv1 for conv1, _ in batches] == [(1024, cfg.input_span) for cfg in desk]
+        assert [conv1 for conv1, _ in batches] == [[(1024, cfg.input_span)] for cfg in desk]
 
     def test_shared_and_gathered_streams_in_one_model(self):
         sharing, gathered = small_config(32, SMALL_GEOMETRIES[0]), small_config(7, SMALL_GEOMETRIES[0])
@@ -371,30 +478,19 @@ class TestEvaluateFrames:
         idxs = np.arange(len(dataset))
         features, batches = conv_batches(model, dataset.buffer, dataset.centers)
         assert_conv_batches(model, dataset.centers, batches)
-        assert batches[0][0][0] < len(idxs) * sharing.first_map_size
+        assert batches[0][0][0][0] < len(idxs) * sharing.first_map_size
         np.testing.assert_array_equal(features, model.features_batch(dataset.inputs(idxs)))
 
     @given(
-        lengths=st.lists(st.integers(1, 6000), min_size=1, max_size=3),
-        streams=st.lists(st.tuples(st.sampled_from(SMALL_STRIDES), st.sampled_from(SMALL_GEOMETRIES)),
-                         min_size=1, max_size=2),
+        lengths=UTTERANCE_LENGTHS,
+        streams=SMALL_STREAMS,
         dtype=st.sampled_from([np.float64, np.float32]),
         batch_size=st.integers(1, 120),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_window_batch_path(self, lengths, streams, dtype, batch_size, seed):
-        rng = np.random.default_rng(seed)
-        configs = [small_config(stride, geometry) for stride, geometry in streams]
-        kind = "single_span" if len(configs) == 1 else "multi_span"
-        model = build_raw_model(kind, configs, 3, hidden_dims=(4,), seed=seed, dtype=dtype)
-        # Frame counts are drawn apart from lengths, so some labels outrun their samples.
-        utterances = [
-            Utterance(f"u{i}", Signal(rng.normal(size=n)),
-                      rng.integers(0, 3, size=rng.integers(1, n // FRAME_SHIFT + 4)))
-            for i, n in enumerate(lengths)
-        ]
-        dataset = FrameDataset(model, Corpus(utterances, 3))
+        model, dataset, rng = small_dataset(lengths, streams, dtype, seed)
         n = len(dataset)
         sparse = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
         tol = 1e-12 if dtype == np.float64 else 1e-6
