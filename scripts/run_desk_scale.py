@@ -20,8 +20,7 @@ def main():
     out_dir = Path(sys.argv[1] if len(sys.argv) > 1 else "desk_scale_out")
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = normalize_global(synth_corpus(3, 12, 5.0, seed=7))
-    config = TrainConfig(learning_rate=0.02, momentum=0.9, weight_decay=1e-5,
-                         batch_size=256, max_epochs=20, seed=3)
+    config = TrainConfig(seed=3)
 
     print("# multi-span M_4,9,15^50,50,50 (reduced geometry)")
     multispan = build_raw_model(

@@ -11,6 +11,7 @@ import numpy as np
 
 from .conv import sliding_windows
 from .dataio import FRAME_SHIFT, SAMPLE_RATE
+from .errors import GeometryError
 
 LOG_FLOOR = 1e-10
 
@@ -88,16 +89,17 @@ def compute_fbank(signal, config: FbankConfig = FbankConfig()) -> np.ndarray:
     return np.log(np.maximum(energies.T, LOG_FLOOR))
 
 
-def stack_context(features: np.ndarray, num_frames: int) -> np.ndarray:
-    """Concatenate each frame with its neighbors, edges replicated.
-
-    (N, D) -> (N, D * num_frames); num_frames must be odd.
+def stack_context(rows: np.ndarray, centers, num_frames: int) -> np.ndarray:
+    """(N, D) rows -> (len(centers), D * num_frames): each centre's row and
+    the num_frames // 2 rows either side, by one gather.  num_frames must be
+    odd and every context inside `rows`; an index is never clipped or wrapped.
     """
     if num_frames % 2 == 0:
         raise ValueError("num_frames must be odd")
-    features = np.asarray(features)
-    n = features.shape[0]
     half = num_frames // 2
-    offsets = np.arange(-half, half + 1)
-    indices = np.clip(np.arange(n)[:, None] + offsets, 0, n - 1)
-    return features[indices].reshape(n, -1)
+    centers = np.asarray(centers)
+    if len(centers) and (centers.min() < half or centers.max() + half >= len(rows)):
+        raise GeometryError(f"a {num_frames}-frame context reaches outside the {len(rows)} rows")
+    # np.take copies whole rows; rows[index] is ~2x slower at 256 x 11 x 40.
+    stacked = np.take(rows, centers[:, None] + np.arange(-half, half + 1), axis=0)
+    return stacked.reshape(len(centers), num_frames * rows.shape[1])

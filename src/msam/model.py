@@ -218,10 +218,6 @@ class RawWaveformModel:
         return self.head.num_classes
 
     @property
-    def feature_dim(self) -> int:
-        return self.head.input_dim
-
-    @property
     def spans(self) -> List[int]:
         return [s.config.input_span for s in self.streams]
 
@@ -241,7 +237,7 @@ class RawWaveformModel:
         return o @ stream.projection.T if self.kind == "multi_span" else o
 
     def features_batch(self, windows: Sequence[np.ndarray]) -> np.ndarray:
-        """Feature vectors for per-stream window batches, shape (B, feature_dim).
+        """Feature vectors for per-stream window batches, shape (B, head.input_dim).
 
         Per stream: conv1 -> ReLU -> conv2 -> ReLU on frame-major maps, then
         the projection (multi-span only); the stream outputs are concatenated.
@@ -257,7 +253,7 @@ class RawWaveformModel:
 
     def features_at(self, buffer: np.ndarray, centers, cache=None) -> np.ndarray:
         """Feature vectors of the frames centred at `centers` in `buffer`,
-        shape (B, feature_dim): `features_batch` of their `gather_windows`,
+        shape (B, head.input_dim): `features_batch` of their `gather_windows`,
         each stream run by `stream_outputs_at`.  With a `cache` list, each
         stream's (outputs, backward) pair is appended to it."""
         parts = []
@@ -327,30 +323,33 @@ class FbankDnnModel:
     def num_classes(self) -> int:
         return self.head.num_classes
 
-    @property
-    def feature_dim(self) -> int:
-        return self.head.input_dim
-
     def params(self) -> dict:
         return head_params(self.head)
 
     def featurize(self, signal) -> np.ndarray:
-        """One stacked feature row per 10ms label frame.
+        """One log-Mel row per 10ms label frame, shape (frames, num_filters).
 
         The signal is zero-padded on the right by frame_size - FRAME_SHIFT
         samples so the frame count equals the label count.
         """
         samples = np.asarray(getattr(signal, "samples", signal))
         pad = self.fbank_config.frame_size - FRAME_SHIFT
-        padded = np.concatenate([samples, np.zeros(pad, dtype=samples.dtype)])
-        feats = compute_fbank(padded, self.fbank_config)
-        return stack_context(feats, self.context_frames)
+        return compute_fbank(np.concatenate([samples, np.zeros(pad, dtype=samples.dtype)]),
+                             self.fbank_config)
 
     def forward_batch(self, features: np.ndarray) -> np.ndarray:
+        """Class probabilities for a batch of stacked context rows, shape (B, C)."""
         probs, _ = head_forward_batch(self.head, features)
         return probs
 
-    def loss_and_grads(self, features: np.ndarray, labels: np.ndarray):
+    def forward_at(self, buffer: np.ndarray, centers) -> np.ndarray:
+        """Class probabilities of the frames centred at rows `centers`, shape (B, C)."""
+        return self.forward_batch(stack_context(buffer, centers, self.context_frames))
+
+    def loss_and_grads(self, buffer: np.ndarray, centers, labels: np.ndarray):
+        """Mean CE loss over the frames centred at rows `centers` of `buffer`
+        and exact head gradients; none for the features, which are data."""
+        features = stack_context(buffer, centers, self.context_frames)
         loss, grads, _ = head_loss_and_grads(self.head, features, np.asarray(labels),
                                              input_grads=False)
         return loss, grads

@@ -10,6 +10,7 @@ import numpy as np
 
 from .dataio import FRAME_SHIFT
 from .errors import ValidationError
+from .fbank import stack_context
 from .model import FbankDnnModel, glorot_uniform
 from .network import HIDDEN_DIMS, cross_entropy_batch
 from .streams import gather_windows
@@ -144,13 +145,14 @@ def pretrain_transition(model, schedule: PretrainSchedule):
 
 
 class FrameDataset:
-    """Per-frame training view of a corpus for one model.
+    """Per-frame view of a corpus for one model: one buffer, and each
+    frame's centre in it, from which the model builds the frame's input.
 
-    Waveform models see per-stream centered windows (the `centered_window`
-    rule), gathered from one buffer in which every utterance is preceded
-    by ceil(max_span/2) zeros and the last one is followed by as many, so
-    edge windows read zeros and never a neighbouring utterance.  The FBANK
-    model sees precomputed stacked feature rows.
+    Waveform models: samples, each utterance preceded by ceil(max_span/2)
+    zeros and the last one followed by as many, so edge windows (the
+    `centered_window` rule) read zeros, never a neighbouring utterance.
+    FBANK: log-Mel rows in the model dtype, each utterance's between
+    context_frames // 2 copies of its first and of its last row.
     """
 
     def __init__(self, model, corpus):
@@ -159,17 +161,20 @@ class FrameDataset:
         self.labels = np.concatenate([u.labels for u in corpus.utterances])
         self.dtype = model.head.output_weight.dtype
         if isinstance(model, FbankDnnModel):
+            self.spans, self.context_frames = None, model.context_frames
+            half, shift = model.context_frames // 2, 1
+            frames = [u.num_frames for u in corpus.utterances]
+            starts = half + np.cumsum([0] + [n + 2 * half for n in frames[:-1]])
+            self.buffer = np.empty((starts[-1] + frames[-1] + half,
+                                    model.fbank_config.num_filters), dtype=self.dtype)
             # Filled one utterance at a time: the whole corpus is never
             # staged in featurize's float64.
-            self.features = np.empty((len(self.labels), model.feature_dim), dtype=self.dtype)
-            row = 0
-            for u in corpus.utterances:
-                self.features[row : row + u.num_frames] = model.featurize(u.signal)
-                row += u.num_frames
-            self.spans = None
+            for start, n, u in zip(starts, frames, corpus.utterances):
+                self.buffer[start : start + n] = model.featurize(u.signal)
+                self.buffer[start - half : start] = self.buffer[start]
+                self.buffer[start + n : start + n + half] = self.buffer[start + n - 1]
         else:
-            self.features = None
-            self.spans = model.spans
+            self.spans, shift = model.spans, FRAME_SHIFT
             gap = (max(self.spans) + 1) // 2
             # A slot holds the samples and any frame centers past their end.
             slots = [max(len(u.signal), FRAME_SHIFT * u.num_frames) for u in corpus.utterances]
@@ -184,17 +189,17 @@ class FrameDataset:
             starts = gap * np.arange(1, len(slots) + 1) + np.cumsum([0] + slots[:-1])
             for start, u in zip(starts, corpus.utterances):
                 self.buffer[start : start + len(u.signal)] = u.signal.samples
-            self.centers = np.concatenate([
-                start + FRAME_SHIFT * np.arange(u.num_frames)
-                for start, u in zip(starts, corpus.utterances)
-            ])
+        self.centers = np.concatenate([start + shift * np.arange(u.num_frames)
+                                       for start, u in zip(starts, corpus.utterances)])
 
     def __len__(self):
         return len(self.labels)
 
     def inputs(self, idxs):
-        if self.features is not None:
-            return self.features[idxs]
+        """The given frames' `forward_batch` inputs: stacked context rows, or
+        one window batch per stream."""
+        if self.spans is None:
+            return stack_context(self.buffer, self.centers[idxs], self.context_frames)
         return [gather_windows(self.buffer, self.centers[idxs], span) for span in self.spans]
 
 
@@ -229,18 +234,15 @@ def make_state(model, corpus, config: TrainConfig) -> TrainerState:
 def evaluate_frames(model, dataset: FrameDataset, idxs, batch_size: int = 512):
     """Mean CE loss and frame accuracy (percent) over the given frames.
 
-    Waveform models score each chunk with `forward_at`, which computes a
-    conv output once per chunk where frames' windows overlap.  Its buffers
-    grow with the chunk, and smaller chunks slow the head's matmuls.
+    Each chunk is scored by `forward_at`; a waveform model computes a conv
+    output once per chunk where frames' windows overlap.  Its buffers grow
+    with the chunk, and smaller chunks slow the head's matmuls.
     """
     total_loss = 0.0
     correct = 0
     for start in range(0, len(idxs), batch_size):
         chunk = idxs[start : start + batch_size]
-        if dataset.features is None:
-            probs = model.forward_at(dataset.buffer, dataset.centers[chunk])
-        else:
-            probs = model.forward_batch(dataset.features[chunk])
+        probs = model.forward_at(dataset.buffer, dataset.centers[chunk])
         labels = dataset.labels[chunk]
         total_loss += cross_entropy_batch(probs, labels) * len(chunk)
         correct += int((probs.argmax(axis=1) == labels).sum())
@@ -262,11 +264,8 @@ def train_epoch(model, config: TrainConfig, state: TrainerState):
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
-        if dataset.features is None:
-            loss, grads = model.loss_and_grads(dataset.buffer, dataset.centers[chunk],
-                                               dataset.labels[chunk])
-        else:
-            loss, grads = model.loss_and_grads(dataset.features[chunk], dataset.labels[chunk])
+        loss, grads = model.loss_and_grads(dataset.buffer, dataset.centers[chunk],
+                                           dataset.labels[chunk])
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite training loss in epoch {state.epoch + 1}, "

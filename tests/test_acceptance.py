@@ -154,7 +154,7 @@ class TestAcceptance:
             num_classes, hidden_dims=(), seed=1,
         )
         schedule = PretrainSchedule(hidden_dim=512, seed=1)
-        ok = model.feature_dim == 450
+        ok = sum(s.config.projection_dim for s in model.streams) == 450
         ok &= model.head.num_hidden == 0 and model.head.input_dim == 450
         frozen = {k: v.copy() for k, v in model.params().items() if k.startswith("stream")}
         output_bias = model.head.output_bias.copy()

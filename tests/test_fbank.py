@@ -8,7 +8,7 @@ import pytest
 
 import msam
 from msam.conv import output_map_size
-from msam.dataio import SAMPLE_RATE
+from msam.dataio import FRAME_SHIFT, SAMPLE_RATE, Corpus, Signal, Utterance
 from msam.errors import GeometryError
 from msam.fbank import (
     LOG_FLOOR,
@@ -20,6 +20,8 @@ from msam.fbank import (
     mel_to_hz,
     stack_context,
 )
+from msam.model import build_fbank_model
+from msam.trainer import FrameDataset
 
 
 class TestMelFilterbank:
@@ -139,21 +141,32 @@ class TestBlasIndependence:
 
 class TestStackContext:
     def test_eleven_frames_of_40d(self, rng):
-        stacked = stack_context(rng.normal(size=(30, 40)), 11)
-        assert stacked.shape == (30, 440)
+        stacked = stack_context(rng.normal(size=(30, 40)), np.arange(5, 25), 11)
+        assert stacked.shape == (20, 440)
 
     def test_single_frame_is_identity(self, rng):
         feats = rng.normal(size=(7, 5))
-        np.testing.assert_array_equal(stack_context(feats, 1), feats)
+        np.testing.assert_array_equal(stack_context(feats, np.arange(7), 1), feats)
 
     def test_left_edge_replicates_first_frame(self, rng):
-        feats = rng.normal(size=(6, 3))
-        stacked = stack_context(feats, 5)
-        np.testing.assert_array_equal(stacked[0, :3], feats[0])
-        np.testing.assert_array_equal(stacked[0, 3:6], feats[0])
-        np.testing.assert_array_equal(stacked[0, 6:9], feats[0])
-        np.testing.assert_array_equal(stacked[0, 9:12], feats[1])
+        """The edge copies are stored: a one-utterance FBANK dataset's first
+        and last frames repeat the utterance's first and last rows."""
+        model = build_fbank_model(3, FbankConfig(num_filters=3), context_frames=5,
+                                  hidden_dims=(), dtype=np.float64)
+        signal = Signal(rng.normal(size=6 * FRAME_SHIFT))
+        dataset = FrameDataset(model, Corpus([Utterance("u", signal, np.zeros(6, int))], 3))
+        feats = model.featurize(signal)
+        first, last = dataset.inputs([0, 5]).reshape(2, 5, 3)
+        np.testing.assert_array_equal(first, feats[[0, 0, 0, 1, 2]])
+        np.testing.assert_array_equal(last, feats[[3, 4, 5, 5, 5]])
 
     def test_even_context_rejected(self, rng):
         with pytest.raises(ValueError):
-            stack_context(rng.normal(size=(4, 2)), 4)
+            stack_context(rng.normal(size=(4, 2)), [2], 4)
+
+    @pytest.mark.parametrize("centers, num_frames", [([0], 3), ([1, 5], 3), ([-1], 1), ([6], 1)])
+    def test_centre_outside_rows_raises(self, rng, centers, num_frames):
+        """A context that reaches past either end of the rows is an error,
+        not a wrapped or clipped index."""
+        with pytest.raises(GeometryError):
+            stack_context(rng.normal(size=(6, 2)), centers, num_frames)

@@ -14,7 +14,7 @@ from msam.checkpoint import load_checkpoint, save_checkpoint
 from msam.cli import EXIT_IO, main
 from msam.conv import conv1d_backward_batch
 from msam.errors import FormatError
-from msam.fbank import FbankConfig
+from msam.fbank import FbankConfig, stack_context
 from msam.model import (
     build_fbank_model,
     build_raw_model,
@@ -231,19 +231,17 @@ class TestModelBackward:
         assert asked == expected
 
     def test_fbank_head_finite_difference(self, rng):
-        from msam.fbank import FbankConfig
-
         model = build_fbank_model(
             3, FbankConfig(num_filters=4), context_frames=3, hidden_dims=(3,),
             seed=5, dtype=np.float64,
         )
         randomize_biases(model, rng)
-        feats = rng.uniform(-1, 1, size=(2, model.feature_dim))
+        rows, centers = rng.uniform(-1, 1, size=(4, 4)), np.array([1, 2])
         labels = np.array([1, 2])
-        _, analytic = model.loss_and_grads(feats, labels)
+        _, analytic = model.loss_and_grads(rows, centers, labels)
 
         def loss():
-            return model.loss_and_grads(feats, labels)[0]
+            return model.loss_and_grads(rows, centers, labels)[0]
 
         numeric = finite_difference_grads(loss, model.params(), step=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -254,8 +252,8 @@ class TestModelBackward:
         model = build_fbank_model(3, FbankConfig(num_filters=4), context_frames=3,
                                   hidden_dims=(5, 4), seed=5)
         randomize_biases(model, rng)
-        feats = rng.uniform(-1, 1, size=(6, model.feature_dim)).astype(np.float32)
-        labels = np.array([0, 1, 2, 0, 1, 2])
+        rows = rng.uniform(-1, 1, size=(8, 4)).astype(np.float32)
+        centers, labels = np.arange(1, 7), np.array([0, 1, 2, 0, 1, 2])
         feature_grads = []
 
         def recording(*args, **kwargs):
@@ -264,8 +262,9 @@ class TestModelBackward:
             return result
 
         with mock.patch.object(msam.model, "head_backward_batch", recording):
-            loss, grads = model.loss_and_grads(feats, labels)
+            loss, grads = model.loss_and_grads(rows, centers, labels)
         assert len(feature_grads) == 1 and feature_grads[0] is None
+        feats = stack_context(rows, centers, 3)
         full_loss, full_grads, dfeat = head_loss_and_grads(model.head, feats, labels)
         assert dfeat.shape == feats.shape
         assert loss == full_loss and grads.keys() == full_grads.keys()
@@ -322,10 +321,10 @@ class TestCheckpoint:
 
     def test_fbank_round_trip(self, rng, tmp_path):
         model = build_fbank_model(3, hidden_dims=(4,), seed=2)
-        feats = rng.normal(size=(6, model.feature_dim)).astype(np.float32)
-        before = model.forward_batch(feats)
+        rows, centers = rng.normal(size=(16, 40)).astype(np.float32), np.arange(5, 11)
+        before = model.forward_at(rows, centers)
         save_checkpoint(tmp_path / "m.ckpt", model)
-        after = load_checkpoint(tmp_path / "m.ckpt").forward_batch(feats)
+        after = load_checkpoint(tmp_path / "m.ckpt").forward_at(rows, centers)
         np.testing.assert_array_equal(before, after)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -495,7 +494,10 @@ class TestCheckpoint:
         signal = reference["signal"]
         if name == "tiny_fbank":
             assert model.fbank_config == FbankConfig(num_filters=4)
-            probs, expected = model.forward_batch(model.featurize(signal)), reference["fbank_probs"]
+            half = model.context_frames // 2
+            rows = np.pad(model.featurize(signal), ((half, half), (0, 0)), mode="edge")
+            probs = model.forward_at(rows, half + np.arange(len(rows) - 2 * half))
+            expected = reference["fbank_probs"]
         else:
             windows = [gather_windows(signal, reference["centers"], s) for s in model.spans]
             probs, expected = model.forward_batch(windows), reference["multi_span_probs"]

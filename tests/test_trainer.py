@@ -119,7 +119,7 @@ class TestPretrainTransitions:
     def test_dimension_chains(self):
         model = self._subnet_model()
         schedule = PretrainSchedule(hidden_dim=6, seed=1)
-        feature_dim = model.feature_dim
+        feature_dim = sum(s.config.projection_dim for s in model.streams)
         assert model.head.num_hidden == 0
         assert model.head.input_dim == feature_dim
 
@@ -232,17 +232,44 @@ def traced_peak(fn):
 
 class TestFrameDataset:
     def test_fbank_features_built_without_staging_the_corpus(self):
-        """Building FBANK rows holds the model-dtype result plus one
-        utterance's featurize work at a time, never the whole corpus in
-        featurize's float64."""
+        """The FBANK buffer holds each utterance's log-Mel rows once, in the
+        model dtype, between context_frames // 2 copies of its edge rows:
+        (frames + (context - 1) * utterances) x num_filters values.  It is
+        built with one utterance's featurize work at a time, never the
+        whole corpus in featurize's float64."""
         corpus = normalize_global(synth_corpus(3, 16, 1.0, seed=2))
         model = build_fbank_model(3, hidden_dims=(8,), seed=0)
-        expected = np.concatenate([model.featurize(u.signal) for u in corpus.utterances])
         _, one_utterance = traced_peak(lambda: model.featurize(corpus.utterances[0].signal))
         dataset, peak = traced_peak(lambda: FrameDataset(model, corpus))
-        assert dataset.features.dtype == np.float32
-        np.testing.assert_array_equal(dataset.features, expected.astype(np.float32))
-        assert peak <= dataset.features.nbytes + one_utterance + 2**18
+        rows = corpus.total_frames() + (model.context_frames - 1) * len(corpus.utterances)
+        assert dataset.buffer.shape == (rows, model.fbank_config.num_filters)
+        assert dataset.buffer.dtype == np.float32
+        assert peak <= dataset.buffer.nbytes + one_utterance + 2**18
+
+    @given(
+        frames=st.lists(st.integers(1, 14), min_size=1, max_size=4),
+        context=st.sampled_from([1, 3, 5, 11]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fbank_contexts_stay_in_own_utterance(self, frames, context, seed):
+        """Each frame's stacked rows are its own utterance's, edge rows
+        repeated, as the per-utterance `np.clip` stacking built them; also
+        when an utterance is shorter than the context."""
+        rng = np.random.default_rng(seed)
+        utterances = [Utterance(f"u{i}", Signal(rng.normal(size=FRAME_SHIFT * n)), np.zeros(n, int))
+                      for i, n in enumerate(frames)]
+        model = build_fbank_model(3, FbankConfig(num_filters=4), context_frames=context,
+                                  hidden_dims=(), seed=0)
+        dataset = FrameDataset(model, Corpus(utterances, 3))
+        half, expected = context // 2, []
+        for u in utterances:
+            rows = model.featurize(u.signal).astype(np.float32)
+            n = len(rows)
+            expected.append(rows[np.clip(np.arange(n)[:, None] + np.arange(-half, half + 1),
+                                         0, n - 1)].reshape(n, -1))
+        order = rng.permutation(len(dataset))
+        np.testing.assert_array_equal(dataset.inputs(order), np.concatenate(expected)[order])
 
     @given(
         lengths=st.lists(st.integers(1, 1200), min_size=1, max_size=4),
