@@ -272,6 +272,7 @@ def cmd_eval(checkpoint_path: str, run: RunConfig) -> int:
             f"{model.num_classes}"
         )
     dataset = FrameDataset(model, corpus)
+    del corpus  # the dataset holds what evaluation reads, in the model dtype
     loss, accuracy = evaluate_frames(model, dataset, np.arange(len(dataset)))
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite evaluation loss")

@@ -85,15 +85,25 @@ def load_wav(path) -> Signal:
         raise FormatError("data: the data chunk holds no samples")
     if len(raw) != 2 * frames:
         raise FormatError(f"data: {len(raw)} bytes where the header declares {frames} samples")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
     return Signal(samples)
 
 
 def normalize_global(corpus: Corpus) -> Corpus:
-    """Zero mean and unit variance pooled over all samples of all utterances."""
+    """Zero mean and unit variance pooled over all samples of all utterances.
+
+    The pooled copy is the one copy staged beside the input: its deviations
+    are squared in place, which are `pooled.var()`'s own operations, and it
+    is dropped before the normalised utterances are built.
+    """
     pooled = np.concatenate([u.signal.samples for u in corpus.utterances])
     mean = pooled.mean()
-    var = pooled.var()
+    # In place, unless integer samples need a float array.
+    pooled = np.subtract(pooled, mean, out=pooled if pooled.dtype == mean.dtype else None)
+    np.multiply(pooled, pooled, out=pooled)
+    var = pooled.sum() / len(pooled)
+    del pooled
     if var <= 0:
         raise DegenerateInputError("corpus has zero sample variance")
     std = np.sqrt(var)
@@ -106,23 +116,32 @@ def normalize_global(corpus: Corpus) -> Corpus:
 
 
 def normalize_utterance_meeting(corpus: Corpus) -> Corpus:
-    """Per-utterance zero mean, then per-meeting unit pooled variance."""
+    """Per-utterance zero mean, then per-meeting unit pooled variance.
+
+    One meeting's centred samples are staged at a time, in one array squared
+    in place; each utterance is centred again as it is normalised.
+    """
     for u in corpus.utterances:
         if u.meeting_id is None:
             raise FormatError(f"meeting_id: missing for utterance {u.id}")
-    centered = [u.signal.samples - u.signal.samples.mean() for u in corpus.utterances]
     meeting_var = {}
     for meeting in {u.meeting_id for u in corpus.utterances}:
-        pooled = np.concatenate(
-            [c for c, u in zip(centered, corpus.utterances) if u.meeting_id == meeting]
-        )
-        var = float(np.mean(pooled**2))
+        members = [u.signal.samples for u in corpus.utterances if u.meeting_id == meeting]
+        pooled = np.empty(sum(len(s) for s in members), dtype=np.result_type(1.0, *{s.dtype for s in members}))
+        start = 0
+        for s in members:
+            np.subtract(s, s.mean(), out=pooled[start : start + len(s)])
+            start += len(s)
+        np.multiply(pooled, pooled, out=pooled)
+        var = float(np.mean(pooled))
+        del pooled
         if var <= 0:
             raise DegenerateInputError(f"meeting {meeting} has zero variance")
         meeting_var[meeting] = var
     utterances = [
-        Utterance(u.id, Signal(c / np.sqrt(meeting_var[u.meeting_id])), u.labels, u.meeting_id)
-        for c, u in zip(centered, corpus.utterances)
+        Utterance(u.id, Signal((u.signal.samples - u.signal.samples.mean())
+                               / np.sqrt(meeting_var[u.meeting_id])), u.labels, u.meeting_id)
+        for u in corpus.utterances
     ]
     return Corpus(utterances, corpus.num_classes,
                   {"scheme": "utterance_meeting", "meeting_variances": meeting_var})

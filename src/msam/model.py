@@ -29,6 +29,9 @@ from .streams import Stream, StreamConfig, gather_windows, window_starts
 # Checkpoint configs record the frame grid: raw models at the top level,
 # FBANK models inside "fbank".
 _GRID = {"sample_rate": SAMPLE_RATE, "frame_shift": FRAME_SHIFT}
+# Distinct conv2 windows the table path gathers and convolves per call:
+# 10.5 MB of float32 rows at the paper's 2560-tap conv2.
+CONV2_BLOCK_ROWS = 1024
 
 
 def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray,
@@ -136,12 +139,14 @@ def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, ind
     from `conv_tables`' rows: conv1 runs once per distinct sample position
     and conv2 once per distinct window, forward and backward.
 
-    The conv1 rows are kept for the backward.  The conv2 rows are gathered
-    again for conv2's weight gradient and dropped before its input
-    gradients are made: holding either raised peak memory and saved no
-    time.  Windows whose offsets share a residue mod second_kernel_len lie
-    at least a kernel apart, so each residue's input gradients add into
-    the flat conv1 table as whole rows of a (-1, second_kernel_len) view.
+    The conv1 rows are kept for the backward.  The forward gathers and
+    convolves the conv2 rows CONV2_BLOCK_ROWS at a time; the backward
+    gathers them again, all at once, for conv2's weight gradient and drops
+    them before its input gradients are made: holding either raised peak
+    memory and saved no time.  Windows whose offsets share a residue mod
+    second_kernel_len lie at least a kernel apart, so each residue's input
+    gradients add into the flat conv1 table as whole rows of a
+    (-1, second_kernel_len) view.
     """
     cfg = stream.config
     l2 = cfg.second_kernel_len
@@ -150,7 +155,10 @@ def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, ind
     np.maximum(y, 0, out=y)
     flat = y.reshape(-1)
     windows2 = np.lib.stride_tricks.sliding_window_view(flat, l2)
-    o = conv1d_forward_batch(windows2[offsets], stream.second_layer).reshape(len(offsets), -1)
+    o = np.empty((len(offsets), cfg.second_num_kernels), dtype=y.dtype)
+    for a in range(0, len(offsets), CONV2_BLOCK_ROWS):
+        block = offsets[a : a + CONV2_BLOCK_ROWS]
+        o[a : a + len(block)] = conv1d_forward_batch(windows2[block], stream.second_layer)[:, 0]
     np.maximum(o, 0, out=o)
 
     def backward(do):

@@ -15,6 +15,7 @@ from .model import FbankDnnModel, glorot_uniform
 from .network import HIDDEN_DIMS, cross_entropy_batch
 from .streams import gather_windows
 
+SGD_BLOCK = 32768  # values per block of sgd_step's scratch: 128 KB in float32
 PRETRAINED_DEPTH = 4  # hidden layers after pretraining's two transitions
 # NewBob+: CV accuracy improvements in percentage points, and the lr decay.
 NEWBOB_START_THRESHOLD = 0.5
@@ -89,7 +90,10 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
 
         v <- momentum * v - lr * (g + weight_decay * w);  w <- w + v
 
-    The step is built in one buffer in that expression's rounding order.
+    The step is built in that expression's rounding order, SGD_BLOCK values
+    at a time in one scratch buffer per parameter, never a full-size copy.
+    Parameters and velocities are updated through flat views, so both must
+    be C-contiguous.
     """
     for name, w in params.items():
         g = grads[name]
@@ -98,13 +102,19 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
         v = velocity.get(name)
         if v is None:
             v = np.zeros_like(w)
-        step = w * weight_decay
-        step += g
-        step *= lr
-        v *= momentum
-        v -= step
+        if not (w.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValidationError(f"{name}: parameters and velocities must be C-contiguous")
+        w_flat, g_flat, v_flat = w.reshape(-1), g.reshape(-1), v.reshape(-1)
+        scratch = np.empty(min(w.size, SGD_BLOCK), dtype=np.result_type(w, weight_decay))
+        for a in range(0, w.size, SGD_BLOCK):
+            wb, vb = w_flat[a : a + SGD_BLOCK], v_flat[a : a + SGD_BLOCK]
+            step = np.multiply(wb, weight_decay, out=scratch[: len(wb)])
+            step += g_flat[a : a + SGD_BLOCK]
+            step *= lr
+            vb *= momentum
+            vb -= step
+            wb += vb
         velocity[name] = v
-        w += v
     return velocity
 
 
@@ -170,7 +180,12 @@ class FrameDataset:
             # Filled one utterance at a time: the whole corpus is never
             # staged in featurize's float64.
             for start, n, u in zip(starts, frames, corpus.utterances):
-                self.buffer[start : start + n] = model.featurize(u.signal)
+                rows = model.featurize(u.signal)
+                if len(rows) != n:
+                    raise ValidationError(
+                        f"utterance {u.id}: {n} labels for {len(rows)} log-Mel frames"
+                    )
+                self.buffer[start : start + n] = rows
                 self.buffer[start - half : start] = self.buffer[start]
                 self.buffer[start + n : start + n + half] = self.buffer[start + n - 1]
         else:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 import wave
 from pathlib import Path
 
@@ -53,6 +54,15 @@ def write_wav(path, signal):
         writer.setsampwidth(2)
         writer.setframerate(SAMPLE_RATE)
         writer.writeframes(samples.astype("<i2").tobytes())
+
+
+def traced_peak(fn):
+    """fn's result and the peak bytes traced while it ran, the result included."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_new(path, data: bytes):

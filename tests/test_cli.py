@@ -1,12 +1,16 @@
 import argparse
 import re
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msam.cli
+import msam.trainer
 from msam.cli import (
     _CONFIG_KEYS,
     EXIT_IO,
@@ -453,6 +457,26 @@ class TestEvalCommand:
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         assert main(["eval", str(tmp_path / "none.ckpt"), "--synth", SYNTH]) == EXIT_IO
+
+    def test_corpus_is_dropped_before_evaluation(self, trained_run):
+        """Evaluation reads the dataset's buffer; the corpus's float64
+        samples are gone by then."""
+        prepared, evaluated = [], []
+        original = msam.cli.prepare_corpus
+
+        def prepare(run):
+            corpus = original(run)
+            prepared.append(weakref.ref(corpus))
+            return corpus
+
+        def evaluate(*args, **kwargs):
+            evaluated.append(prepared[0]() is None)
+            return msam.trainer.evaluate_frames(*args, **kwargs)
+
+        with mock.patch.object(msam.cli, "prepare_corpus", prepare), \
+             mock.patch.object(msam.cli, "evaluate_frames", evaluate):
+            assert main(["eval", str(trained_run / "model.ckpt"), "--synth", SYNTH]) == EXIT_OK
+        assert evaluated == [True]
 
     @pytest.mark.parametrize("flag, value", [("--out", "DIR"), ("--seed", "99"),
                                              ("--epochs", "7")])

@@ -20,7 +20,7 @@ from msam.errors import DegenerateInputError, FormatError
 from msam.fbank import compute_fbank
 from msam.trainer import FrameDataset
 
-from conftest import BYTE_OPS, line_ops, mutate, span_model, write_new, write_wav
+from conftest import BYTE_OPS, line_ops, mutate, span_model, traced_peak, write_new, write_wav
 
 
 def _write_raw_wav(path, samples_int16, channels=1, rate=16000, width=2):
@@ -38,6 +38,16 @@ class TestLoadWav:
         signal = load_wav(path)
         np.testing.assert_allclose(signal.samples, [0.5, -1.0, 0.0])
         assert signal.sample_rate == 16000
+
+    def test_holds_one_float_array(self, tmp_path):
+        """The file's bytes and one float64 array of its samples, scaled in
+        place.  One second keeps the array below the 256 KB above which
+        NumPy may reuse a temporary by itself."""
+        path = tmp_path / "one_second.wav"
+        _write_raw_wav(path, np.arange(16000) - 8000)
+        signal, peak = traced_peak(lambda: load_wav(path))
+        assert signal.samples[0] == -8000 / 32768.0
+        assert peak <= (2 + 8) * 16000 + 2**12
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -112,6 +122,19 @@ def _toy_corpus():
     u1 = Utterance("u1", Signal(np.array([1.0, 3.0] * 160)), np.zeros(2), "m0")
     u2 = Utterance("u2", Signal(np.array([-2.0, 0.0] * 160)), np.ones(2), "m1")
     return Corpus([u1, u2], 2)
+
+
+@pytest.mark.parametrize("normalize", [normalize_global, normalize_utterance_meeting])
+def test_normalization_stages_one_copy(normalize):
+    """Normalisation peaks at no more than the corpus plus two utterances,
+    its result included, and leaves its input as it was."""
+    corpus = synth_corpus(3, 16, 1.0, seed=4)
+    before = [u.signal.samples.copy() for u in corpus.utterances]
+    _, peak = traced_peak(lambda: normalize(corpus))
+    utterance_bytes = corpus.utterances[0].signal.samples.nbytes
+    assert peak <= (len(corpus.utterances) + 2) * utterance_bytes
+    for samples, u in zip(before, corpus.utterances):
+        np.testing.assert_array_equal(u.signal.samples, samples)
 
 
 class TestNormalizeGlobal:

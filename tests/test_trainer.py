@@ -1,4 +1,3 @@
-import tracemalloc
 from math import lcm
 from pathlib import Path
 from unittest import mock
@@ -18,6 +17,7 @@ from msam.model import build_fbank_model, build_raw_model
 from msam.network import cross_entropy_batch
 from msam.streams import StreamConfig, centered_window, desk_scale_config
 from msam.trainer import (
+    SGD_BLOCK,
     FrameDataset,
     NewBobState,
     PretrainSchedule,
@@ -31,7 +31,7 @@ from msam.trainer import (
     train_model,
 )
 
-from conftest import randomize_biases, span_model, tiny_stream_config
+from conftest import randomize_biases, span_model, tiny_stream_config, traced_peak
 
 
 class TestSgdStep:
@@ -66,6 +66,44 @@ class TestSgdStep:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValidationError):
             sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, {}, 0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_the_whole_array_formula_bitwise(self, dtype):
+        """Three steps over parameters smaller than, equal to and not a
+        multiple of SGD_BLOCK give the bits of the formula applied to whole
+        arrays; the updates land in the caller's arrays."""
+        rng = np.random.default_rng(3)
+        shapes = {"a": (7,), "b": (SGD_BLOCK,), "c": (SGD_BLOCK + 1,),
+                  "d": (3, SGD_BLOCK // 2 + 5)}
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        expected = {k: p.copy() for k, p in params.items()}
+        velocity, expected_velocity = {}, {}
+        for _ in range(3):
+            grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+            sgd_step(params, grads, velocity, 0.02, 0.9, 1e-5)
+            for k, w in expected.items():
+                v = expected_velocity.get(k, np.zeros_like(w))
+                step = w * 1e-5
+                step += grads[k]
+                step *= 0.02
+                v *= 0.9
+                v -= step
+                expected_velocity[k] = v
+                w += v
+        for k in shapes:
+            assert params[k].tobytes() == expected[k].tobytes(), k
+            assert velocity[k].tobytes() == expected_velocity[k].tobytes(), k
+
+    def test_non_contiguous_parameter_raises(self):
+        """A flat copy of a strided parameter would take the update and
+        leave the parameter as it was."""
+        w = np.ones((4, 6))[:, :3]
+        with pytest.raises(ValidationError, match="contiguous"):
+            sgd_step({"w": w}, {"w": np.ones((4, 3))}, {}, 0.1, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="contiguous"):
+            sgd_step({"w": np.ones((4, 3))}, {"w": np.ones((4, 3))},
+                     {"w": np.zeros((3, 4)).T}, 0.1, 0.0, 0.0)
+        np.testing.assert_array_equal(w, 1.0)
 
 
 class TestNewBob:
@@ -221,15 +259,6 @@ class TestTrainEpoch:
         assert len(state.train_idx) + len(state.cv_idx) == len(state.dataset)
 
 
-def traced_peak(fn):
-    """fn's result and the peak bytes traced while it ran, the result included."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestFrameDataset:
     def test_fbank_features_built_without_staging_the_corpus(self):
         """The FBANK buffer holds each utterance's log-Mel rows once, in the
@@ -245,6 +274,16 @@ class TestFrameDataset:
         assert dataset.buffer.shape == (rows, model.fbank_config.num_filters)
         assert dataset.buffer.dtype == np.float32
         assert peak <= dataset.buffer.nbytes + one_utterance + 2**18
+
+    @pytest.mark.parametrize("labels", [5, 7])
+    def test_fbank_label_count_must_match_the_frames(self, labels):
+        """960 samples make 6 log-Mel frames; another label count is a
+        ValidationError naming the utterance and both counts."""
+        model = build_fbank_model(3, FbankConfig(num_filters=4), hidden_dims=(), seed=0)
+        rng = np.random.default_rng(0)
+        corpus = Corpus([Utterance("short", Signal(rng.normal(size=960)), np.zeros(labels))], 3)
+        with pytest.raises(ValidationError, match=f"utterance short: {labels} labels for 6 "):
+            FrameDataset(model, corpus)
 
     @given(
         frames=st.lists(st.integers(1, 14), min_size=1, max_size=4),
@@ -337,16 +376,23 @@ def shared_frames(config, centers):
     return (counts[inverse.reshape(positions.shape)] > 1).any(axis=1)
 
 
-def conv_batches(model, buffer, centers, compute=True):
+def conv_batches(model, buffer, centers, compute=True, blocks=False):
     """features_at of the frames, and per stream the lists of (conv1, conv2)
-    shapes of the batches it passed to conv1d_forward_batch.  With
+    shapes of the batches it passed to conv1d_forward_batch.  The table
+    path's conv2 blocks, one window of second_kernel_len values per row,
+    are summed into one batch; with blocks=True each call is listed.  With
     compute=False the convolutions return zeros, which counts rows without
     doing the work."""
     shapes = {}
     original = msam.model.conv1d_forward_batch
 
     def spy(segments, bank):
-        shapes.setdefault(id(bank), []).append(segments.shape)
+        calls = shapes.setdefault(id(bank), [])
+        if (not blocks and calls and segments.shape[1] == bank.kernel_len
+                and calls[-1][1] == bank.kernel_len):
+            calls[-1] = (calls[-1][0] + len(segments), bank.kernel_len)
+        else:
+            calls.append(segments.shape)
         if compute:
             return original(segments, bank)
         m = output_map_size(segments.shape[1], bank.kernel_len, bank.stride)
@@ -493,6 +539,41 @@ class TestEvaluateFrames:
         model = build_raw_model("multi_span", desk, 3, hidden_dims=())
         _, batches = conv_batches(model, buffer, centers, compute=False)
         assert [conv1 for conv1, _ in batches] == [[(1024, cfg.input_span)] for cfg in desk]
+
+    def test_conv2_windows_are_convolved_in_blocks(self):
+        """A chunk of 512 consecutive frames at paper geometry passes no conv2
+        batch of more than 1024 rows; the blocks hold each distinct window
+        once (S=9 has 5138 in one chunk)."""
+        centers = 2000 + FRAME_SHIFT * np.arange(512)
+        buffer = np.zeros(centers[-1] + 2000, dtype=np.float32)
+        model = build_raw_model("multi_span", PAPER, 3, hidden_dims=())
+        _, batches = conv_batches(model, buffer, centers, compute=False, blocks=True)
+        for cfg, (_, conv2) in zip(PAPER, batches):
+            assert max(rows for rows, _ in conv2) <= 1024
+            assert sum(rows for rows, _ in conv2) == distinct_counts(cfg, centers)[1]
+        assert len(batches[1][1]) == 6
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_conv2_blocks_match_one_batch(self, block):
+        """Outputs and the step's gradients with conv2 blocks of a few rows
+        equal those of one block, in float64, over streams whose frames
+        share positions."""
+        streams = [(16, SMALL_GEOMETRIES[1]), (48, SMALL_GEOMETRIES[3])]
+        model, dataset, _ = small_dataset([6000, 2500], streams, np.float64, seed=5)
+        assert all(shares_positions(s.config) for s in model.streams)
+        args = dataset.buffer, dataset.centers, dataset.labels
+        features = model.features_at(*args[:2])
+        loss, grads = model.loss_and_grads(*args)
+        with mock.patch.object(msam.model, "CONV2_BLOCK_ROWS", block):
+            _, batches = conv_batches(model, *args[:2], blocks=True)
+            assert all(max(rows for rows, _ in conv2) == block for _, conv2 in batches)
+            np.testing.assert_allclose(model.features_at(*args[:2]), features,
+                                       rtol=0, atol=1e-12 * np.abs(features).max())
+            blocked_loss, blocked = model.loss_and_grads(*args)
+        assert blocked_loss == pytest.approx(loss, rel=1e-12)
+        for name, g in grads.items():
+            np.testing.assert_allclose(blocked[name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
+                                       err_msg=name)
 
     def test_shared_and_gathered_streams_in_one_model(self):
         sharing, gathered = small_config(32, SMALL_GEOMETRIES[0]), small_config(7, SMALL_GEOMETRIES[0])
