@@ -7,7 +7,6 @@ Three model kinds share the same classifier head:
 """
 
 from dataclasses import asdict
-from math import lcm
 from typing import List, Sequence
 
 import numpy as np
@@ -48,16 +47,6 @@ def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray,
     return loss, grads, dfeat
 
 
-def stream_stack(stream: Stream, windows: np.ndarray):
-    """conv1 -> ReLU -> conv2 -> ReLU of a (B, span) window batch: the
-    frame-major conv1 maps (B, M1, K1) and the outputs (B, output_dim)."""
-    y = conv1d_forward_batch(windows, stream.first_layer)
-    np.maximum(y, 0, out=y)
-    o = conv1d_forward_batch(y.reshape(len(windows), -1), stream.second_layer)
-    np.maximum(o, 0, out=o)
-    return y, o.reshape(len(windows), -1)
-
-
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
     """`np.unique(values)` by one sort; NumPy 2's hash-based unique is ~20x
     slower on (frames, map size) grids of positions."""
@@ -74,8 +63,7 @@ def conv_tables(cfg: StreamConfig, starts: np.ndarray):
     conv1 row, so the table path does fewer conv MACs than those frames'
     windows; every other frame would add all its rows to the table, and
     takes the window path instead.  Only `starts` and the geometry are
-    read: a geometry in which two frames FRAME_SHIFT apart read no common
-    position returns None without looking at the batch.
+    read.
 
     Returns (shared, positions, offsets, index): the (B,) mask of the
     frames that take the table path; their distinct conv1 positions,
@@ -87,8 +75,6 @@ def conv_tables(cfg: StreamConfig, starts: np.ndarray):
     second_map_size).
     """
     s, m1, k1 = cfg.first_stride, cfg.first_map_size, cfg.first_num_kernels
-    if lcm(FRAME_SHIFT, s) > s * (m1 - 1):
-        return None
 
     def steps(order):
         # Lattice steps from each frame to the one before it of the same
@@ -121,7 +107,10 @@ def conv_tables(cfg: StreamConfig, starts: np.ndarray):
 def window_outputs_at(stream: Stream, buffer: np.ndarray, centers):
     """`stream_outputs_at` by one gathered window per frame."""
     w = gather_windows(buffer, centers, stream.config.input_span)
-    y, o = stream_stack(stream, w)
+    y = conv1d_forward_batch(w, stream.first_layer)
+    np.maximum(y, 0, out=y)
+    o = conv1d_forward_batch(y.reshape(len(w), -1), stream.second_layer)
+    np.maximum(o, 0, out=o)
 
     def backward(do):
         dw2, db2, dy = conv1d_backward_batch(y.reshape(len(w), -1), stream.second_layer, do)
@@ -131,7 +120,7 @@ def window_outputs_at(stream: Stream, buffer: np.ndarray, centers):
         dw1, db1, _ = conv1d_backward_batch(w, stream.first_layer, dy, input_grads=False)
         return dw1, db1, dw2, db2
 
-    return o, backward
+    return o.reshape(len(w), -1), backward
 
 
 def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, index):
@@ -187,10 +176,11 @@ def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, ind
 
 
 def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers):
-    """`stream_stack` outputs of the frames centred at `centers` in
-    `buffer`, shape (B, output_dim), and their backward: a function from
-    the ReLU-masked output gradients, shape (B, second_map_size,
-    second_num_kernels), to the conv1 and conv2 weight and bias gradients.
+    """conv1 -> ReLU -> conv2 -> ReLU outputs of the frames centred at
+    `centers` in `buffer`, shape (B, output_dim), and their backward: a
+    function from the ReLU-masked output gradients, shape (B,
+    second_map_size, second_num_kernels), to the conv1 and conv2 weight and
+    bias gradients.
 
     The frames `conv_tables` picks take the table path; the others take
     the window path.
@@ -244,34 +234,55 @@ class RawWaveformModel:
     def _project(self, stream: Stream, o: np.ndarray) -> np.ndarray:
         return o @ stream.projection.T if self.kind == "multi_span" else o
 
-    def features_batch(self, windows: Sequence[np.ndarray]) -> np.ndarray:
-        """Feature vectors for per-stream window batches, shape (B, head.input_dim).
+    def frames(self, utterances):
+        """(buffer, centers) of the utterances' frames: the samples in the
+        model dtype, each utterance after ceil(max_span/2) zeros and the last
+        one before as many, so edge windows (the `centered_window` rule) read
+        zeros, never a neighbouring utterance; a centre is a sample."""
+        gap = (max(self.spans) + 1) // 2
+        # A slot holds the samples and any frame centers past their end.
+        slots = [max(len(u.signal), FRAME_SHIFT * u.num_frames) for u in utterances]
+        size = sum(slots) + gap * (len(slots) + 1)
+        try:
+            buffer = np.zeros(size, dtype=self.head.output_weight.dtype)
+        except (MemoryError, ValueError) as exc:
+            raise ValidationError(
+                f"a span of {max(self.spans)} samples pads the corpus to {size} samples, "
+                f"which cannot be allocated ({exc})"
+            ) from exc
+        starts = gap * np.arange(1, len(slots) + 1) + np.cumsum([0] + slots[:-1])
+        for start, u in zip(starts, utterances):
+            buffer[start : start + len(u.signal)] = u.signal.samples
+        return buffer, np.concatenate([start + FRAME_SHIFT * np.arange(u.num_frames)
+                                       for start, u in zip(starts, utterances)])
 
-        Per stream: conv1 -> ReLU -> conv2 -> ReLU on frame-major maps, then
-        the projection (multi-span only); the stream outputs are concatenated.
-        """
+    def inputs_at(self, buffer: np.ndarray, centers) -> List[np.ndarray]:
+        """`forward_batch`'s input for the frames centred at `centers`: one
+        window batch per stream."""
+        return [gather_windows(buffer, centers, span) for span in self.spans]
+
+    def features_batch(self, windows: Sequence[np.ndarray]) -> np.ndarray:
+        """Feature vectors for per-stream window batches, shape (B, head.input_dim):
+        `window_outputs_at` of each batch laid end to end, then the projection
+        (multi-span only); the stream outputs are concatenated."""
         parts = []
         for stream, w in zip(self.streams, windows):
-            if w.shape[1] != stream.config.input_span:
-                raise GeometryError(
-                    f"window length {w.shape[1]} != stream span {stream.config.input_span}"
-                )
-            parts.append(self._project(stream, stream_stack(stream, w)[1]))
-        return np.concatenate(parts, axis=1)
-
-    def features_at(self, buffer: np.ndarray, centers, cache=None) -> np.ndarray:
-        """Feature vectors of the frames centred at `centers` in `buffer`,
-        shape (B, head.input_dim): `features_batch` of their `gather_windows`,
-        each stream run by `stream_outputs_at`.  With a `cache` list, each
-        stream's (outputs, backward) pair is appended to it."""
-        parts = []
-        for stream in self.streams:
-            o, backward = stream_outputs_at(stream, buffer, centers)
-            if cache is not None:
-                cache.append((o, backward))
-            del backward  # unless cached, its tables go before the next stream builds its own
+            span = stream.config.input_span
+            if w.shape[1] != span:
+                raise GeometryError(f"window length {w.shape[1]} != stream span {span}")
+            centers = (span + 1) // 2 + span * np.arange(len(w))
+            o = window_outputs_at(stream, w.reshape(-1), centers)[0]
             parts.append(self._project(stream, o))
         return np.concatenate(parts, axis=1)
+
+    def features_at(self, buffer: np.ndarray, centers) -> np.ndarray:
+        """Feature vectors of the frames centred at `centers` in `buffer`,
+        shape (B, head.input_dim): `features_batch` of their `inputs_at`,
+        each stream run by `stream_outputs_at`.  Each stream's backward is
+        dropped with its call, so its tables go before the next stream
+        builds its own."""
+        return np.concatenate([self._project(stream, stream_outputs_at(stream, buffer, centers)[0])
+                               for stream in self.streams], axis=1)
 
     def forward_batch(self, windows: Sequence[np.ndarray]):
         """Class probabilities for per-stream window batches, shape (B, C)."""
@@ -287,11 +298,15 @@ class RawWaveformModel:
         """Mean CE loss over the frames centred at `centers` in `buffer` and
         exact gradients per parameter."""
         labels = np.asarray(labels)
-        stream_cache = []
-        feats = self.features_at(buffer, centers, cache=stream_cache)
+        outputs, parts = [], []
+        for stream in self.streams:
+            outputs.append(stream_outputs_at(stream, buffer, centers))
+            parts.append(self._project(stream, outputs[-1][0]))
+        feats = np.concatenate(parts, axis=1)
+        del parts
         loss, grads, dfeat = head_loss_and_grads(self.head, feats, labels)
         offset = 0
-        for i, (stream, (o, backward)) in enumerate(zip(self.streams, stream_cache)):
+        for i, (stream, (o, backward)) in enumerate(zip(self.streams, outputs)):
             if self.kind == "multi_span":
                 dim = stream.config.projection_dim
                 dblock = dfeat[:, offset : offset + dim]
@@ -345,6 +360,31 @@ class FbankDnnModel:
         return compute_fbank(np.concatenate([samples, np.zeros(pad, dtype=samples.dtype)]),
                              self.fbank_config)
 
+    def frames(self, utterances):
+        """(buffer, centers) of the utterances' frames: log-Mel rows in the
+        model dtype, each utterance's between context_frames // 2 copies of
+        its first and of its last row; a centre is a row."""
+        half = self.context_frames // 2
+        frames = [u.num_frames for u in utterances]
+        starts = half + np.cumsum([0] + [n + 2 * half for n in frames[:-1]])
+        buffer = np.empty((starts[-1] + frames[-1] + half, self.fbank_config.num_filters),
+                          dtype=self.head.output_weight.dtype)
+        # One utterance at a time: featurize's float64 never holds the corpus.
+        for start, n, u in zip(starts, frames, utterances):
+            rows = self.featurize(u.signal)
+            if len(rows) != n:
+                raise ValidationError(f"utterance {u.id}: {n} labels for {len(rows)} "
+                                      "log-Mel frames")
+            buffer[start : start + n] = rows
+            buffer[start - half : start] = buffer[start]
+            buffer[start + n : start + n + half] = buffer[start + n - 1]
+        return buffer, np.concatenate([start + np.arange(n) for start, n in zip(starts, frames)])
+
+    def inputs_at(self, buffer: np.ndarray, centers) -> np.ndarray:
+        """`forward_batch`'s input for the frames centred at rows `centers`:
+        their stacked context rows."""
+        return stack_context(buffer, centers, self.context_frames)
+
     def forward_batch(self, features: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch of stacked context rows, shape (B, C)."""
         probs, _ = head_forward_batch(self.head, features)
@@ -352,14 +392,13 @@ class FbankDnnModel:
 
     def forward_at(self, buffer: np.ndarray, centers) -> np.ndarray:
         """Class probabilities of the frames centred at rows `centers`, shape (B, C)."""
-        return self.forward_batch(stack_context(buffer, centers, self.context_frames))
+        return self.forward_batch(self.inputs_at(buffer, centers))
 
     def loss_and_grads(self, buffer: np.ndarray, centers, labels: np.ndarray):
         """Mean CE loss over the frames centred at rows `centers` of `buffer`
         and exact head gradients; none for the features, which are data."""
-        features = stack_context(buffer, centers, self.context_frames)
-        loss, grads, _ = head_loss_and_grads(self.head, features, np.asarray(labels),
-                                             input_grads=False)
+        loss, grads, _ = head_loss_and_grads(self.head, self.inputs_at(buffer, centers),
+                                             np.asarray(labels), input_grads=False)
         return loss, grads
 
     def to_config(self) -> dict:

@@ -3,8 +3,8 @@
 Each stream convolves a different span of the raw waveform with its own
 first layer (stride S_i, kernel length L_i), feeds the flattened result
 through a fixed-geometry second layer, and projects the output down to a
-small vector.  The stack itself runs in `model.stream_stack` (one window
-per frame) and `model.stream_outputs_at` (once per distinct input position).
+small vector.  The stack itself runs in `model.stream_outputs_at`: one
+window per frame, or once per distinct input position.
 """
 
 from dataclasses import dataclass, asdict

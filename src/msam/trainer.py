@@ -8,14 +8,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dataio import FRAME_SHIFT
 from .errors import ValidationError
-from .fbank import stack_context
-from .model import FbankDnnModel, glorot_uniform
+from .model import glorot_uniform
 from .network import HIDDEN_DIMS, cross_entropy_batch
-from .streams import gather_windows
 
 SGD_BLOCK = 32768  # values per block of sgd_step's scratch: 128 KB in float32
+# Frames per `evaluate_frames` chunk: the table path's buffers grow with the
+# chunk, and smaller chunks slow the head's matmuls.
+EVAL_CHUNK = 512
 PRETRAINED_DEPTH = 4  # hidden layers after pretraining's two transitions
 # NewBob+: CV accuracy improvements in percentage points, and the lr decay.
 NEWBOB_START_THRESHOLD = 0.5
@@ -155,67 +155,23 @@ def pretrain_transition(model, schedule: PretrainSchedule):
 
 
 class FrameDataset:
-    """Per-frame view of a corpus for one model: one buffer, and each
-    frame's centre in it, from which the model builds the frame's input.
-
-    Waveform models: samples, each utterance preceded by ceil(max_span/2)
-    zeros and the last one followed by as many, so edge windows (the
-    `centered_window` rule) read zeros, never a neighbouring utterance.
-    FBANK: log-Mel rows in the model dtype, each utterance's between
-    context_frames // 2 copies of its first and of its last row.
-    """
+    """Per-frame view of a corpus for one model: the buffer and each
+    frame's centre in it that the model's `frames` builds, from which the
+    model's `inputs_at` and `forward_at` read the frames' inputs."""
 
     def __init__(self, model, corpus):
         if not corpus.utterances or corpus.total_frames() == 0:
             raise ValidationError("empty corpus")
         self.labels = np.concatenate([u.labels for u in corpus.utterances])
-        self.dtype = model.head.output_weight.dtype
-        if isinstance(model, FbankDnnModel):
-            self.spans, self.context_frames = None, model.context_frames
-            half, shift = model.context_frames // 2, 1
-            frames = [u.num_frames for u in corpus.utterances]
-            starts = half + np.cumsum([0] + [n + 2 * half for n in frames[:-1]])
-            self.buffer = np.empty((starts[-1] + frames[-1] + half,
-                                    model.fbank_config.num_filters), dtype=self.dtype)
-            # Filled one utterance at a time: the whole corpus is never
-            # staged in featurize's float64.
-            for start, n, u in zip(starts, frames, corpus.utterances):
-                rows = model.featurize(u.signal)
-                if len(rows) != n:
-                    raise ValidationError(
-                        f"utterance {u.id}: {n} labels for {len(rows)} log-Mel frames"
-                    )
-                self.buffer[start : start + n] = rows
-                self.buffer[start - half : start] = self.buffer[start]
-                self.buffer[start + n : start + n + half] = self.buffer[start + n - 1]
-        else:
-            self.spans, shift = model.spans, FRAME_SHIFT
-            gap = (max(self.spans) + 1) // 2
-            # A slot holds the samples and any frame centers past their end.
-            slots = [max(len(u.signal), FRAME_SHIFT * u.num_frames) for u in corpus.utterances]
-            size = sum(slots) + gap * (len(slots) + 1)
-            try:
-                self.buffer = np.zeros(size, dtype=self.dtype)
-            except (MemoryError, ValueError) as exc:
-                raise ValidationError(
-                    f"a span of {max(self.spans)} samples pads the corpus to {size} samples, "
-                    f"which cannot be allocated ({exc})"
-                ) from exc
-            starts = gap * np.arange(1, len(slots) + 1) + np.cumsum([0] + slots[:-1])
-            for start, u in zip(starts, corpus.utterances):
-                self.buffer[start : start + len(u.signal)] = u.signal.samples
-        self.centers = np.concatenate([start + shift * np.arange(u.num_frames)
-                                       for start, u in zip(starts, corpus.utterances)])
+        self.buffer, self.centers = model.frames(corpus.utterances)
+        self._inputs_at = model.inputs_at
 
     def __len__(self):
         return len(self.labels)
 
     def inputs(self, idxs):
-        """The given frames' `forward_batch` inputs: stacked context rows, or
-        one window batch per stream."""
-        if self.spans is None:
-            return stack_context(self.buffer, self.centers[idxs], self.context_frames)
-        return [gather_windows(self.buffer, self.centers[idxs], span) for span in self.spans]
+        """The given frames' `forward_batch` inputs, by the model's `inputs_at`."""
+        return self._inputs_at(self.buffer, self.centers[idxs])
 
 
 @dataclass
@@ -246,17 +202,17 @@ def make_state(model, corpus, config: TrainConfig) -> TrainerState:
     )
 
 
-def evaluate_frames(model, dataset: FrameDataset, idxs, batch_size: int = 512):
+def evaluate_frames(model, dataset: FrameDataset, idxs):
     """Mean CE loss and frame accuracy (percent) over the given frames.
 
-    Each chunk is scored by `forward_at`; a waveform model computes a conv
-    output once per chunk where frames' windows overlap.  Its buffers grow
-    with the chunk, and smaller chunks slow the head's matmuls.
+    Each chunk of EVAL_CHUNK frames is scored by `forward_at`; a waveform
+    model computes a conv output once per chunk where frames' windows
+    overlap.
     """
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(idxs), batch_size):
-        chunk = idxs[start : start + batch_size]
+    for start in range(0, len(idxs), EVAL_CHUNK):
+        chunk = idxs[start : start + EVAL_CHUNK]
         probs = model.forward_at(dataset.buffer, dataset.centers[chunk])
         labels = dataset.labels[chunk]
         total_loss += cross_entropy_batch(probs, labels) * len(chunk)
@@ -268,7 +224,7 @@ def evaluate_frames(model, dataset: FrameDataset, idxs, batch_size: int = 512):
 def train_epoch(model, config: TrainConfig, state: TrainerState):
     """One shuffled pass over the training frames of a `make_state` state.
 
-    Returns (model, mean train CE loss, CV frame accuracy in percent).
+    Returns (mean train CE loss, CV frame accuracy in percent).
     Raises FloatingPointError on a non-finite step loss or, after the
     pass, a non-finite parameter.
     """
@@ -294,7 +250,7 @@ def train_epoch(model, config: TrainConfig, state: TrainerState):
     if bad:
         raise FloatingPointError(f"non-finite parameters after epoch {state.epoch}: {bad}")
     _, cv_accuracy = evaluate_frames(model, dataset, state.cv_idx)
-    return model, total_loss / len(order), cv_accuracy
+    return total_loss / len(order), cv_accuracy
 
 
 def format_log_line(epoch: int, lr: float, train_loss: float, cv_accuracy: float) -> str:
@@ -320,7 +276,7 @@ def train_model(model, corpus, config: TrainConfig,
 
     def run_epoch():
         lr = state.newbob.current_lr
-        _, loss, cv = train_epoch(model, config, state)
+        loss, cv = train_epoch(model, config, state)
         log.append(format_log_line(state.epoch, lr, loss, cv))
         return cv
 

@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 import wave
@@ -14,6 +16,34 @@ from msam.model import build_raw_model
 from msam.streams import StreamConfig
 
 DATA = Path(__file__).parent / "data"
+NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def openblas_kernel(libdir=NUMPY_LIBS):
+    """(core type, thread count) of the OpenBLAS NumPy bundles, read through
+    ctypes; "unknown" for each that its library or symbol does not give.
+    The library's file name carries a build hash, so it is globbed."""
+    core = threads = "unknown"
+    try:
+        lib = ctypes.CDLL(str(sorted(Path(libdir).glob("libscipy_openblas64_*.so"))[0]))
+    except (IndexError, OSError):
+        return core, threads
+    corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    num_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if num_threads is not None:
+        num_threads.argtypes, num_threads.restype = [], ctypes.c_int
+        threads = str(num_threads())
+    return core, threads
+
+
+def pytest_report_header(config):
+    """Name the BLAS kernel, whose sums the byte pins depend on."""
+    core, threads = openblas_kernel()
+    return (f"numpy {np.__version__}, OpenBLAS core {core}, threads {threads}, "
+            f"MSAM_THREADS={os.environ.get('MSAM_THREADS', 'unset')}")
 
 
 def tiny_stream_config(stride: int, kernel_len: int = 5) -> StreamConfig:

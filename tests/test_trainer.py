@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msam.model
+import msam.trainer
 from msam.checkpoint import save_checkpoint
 from msam.conv import output_map_size
 from msam.dataio import FRAME_SHIFT, Corpus, Signal, Utterance, normalize_global, synth_corpus
@@ -31,7 +32,8 @@ from msam.trainer import (
     train_model,
 )
 
-from conftest import randomize_biases, span_model, tiny_stream_config, traced_peak
+from conftest import (frames_in_buffer, randomize_biases, span_model, tiny_stream_config,
+                      traced_peak)
 
 
 class TestSgdStep:
@@ -243,7 +245,7 @@ class TestTrainEpoch:
                              batch_size=100_000, max_epochs=5, seed=0,
                              cv_fraction=0.05)
         state = make_state(model, small_corpus, config)
-        losses = [train_epoch(model, config, state)[1] for _ in range(5)]
+        losses = [train_epoch(model, config, state)[0] for _ in range(5)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_empty_corpus_rejected(self):
@@ -284,6 +286,31 @@ class TestFrameDataset:
         corpus = Corpus([Utterance("short", Signal(rng.normal(size=960)), np.zeros(labels))], 3)
         with pytest.raises(ValidationError, match=f"utterance short: {labels} labels for 6 "):
             FrameDataset(model, corpus)
+
+    def test_asks_the_model_for_frames_and_inputs_only(self):
+        """The model builds the buffer and reads each frame's input from it;
+        the dataset holds them and the corpus's labels, and nothing else of
+        the model."""
+        buffer, centers = np.arange(10.0), np.array([3, 5, 8])
+
+        class Stub:
+            def frames(self, utterances):
+                self.utterances = utterances
+                return buffer, centers
+
+            def inputs_at(self, buffer, centers):
+                return "inputs", buffer, centers
+
+        utterances = [Utterance("a", Signal(np.zeros(320)), np.array([2, 0])),
+                      Utterance("b", Signal(np.zeros(160)), np.array([1]))]
+        model = Stub()
+        dataset = FrameDataset(model, Corpus(utterances, 3))
+        assert model.utterances == utterances
+        assert dataset.buffer is buffer and dataset.centers is centers
+        np.testing.assert_array_equal(dataset.labels, [2, 0, 1])
+        tag, got_buffer, got_centers = dataset.inputs([2, 0])
+        assert tag == "inputs" and got_buffer is buffer
+        np.testing.assert_array_equal(got_centers, [8, 3])
 
     @given(
         frames=st.lists(st.integers(1, 14), min_size=1, max_size=4),
@@ -490,8 +517,6 @@ class TestPathRule:
         centers = 2000 + FRAME_SHIFT * np.arange(32)
         desk = [desk_scale_config(s, 50) for s in (4, 9, 15)]
         assert self.frames_per_path(desk, centers) == ([], [32, 32, 32])
-        # The geometry decides before the batch is read.
-        assert all(msam.model.conv_tables(cfg, None) is None for cfg in desk)
 
     @given(lengths=UTTERANCE_LENGTHS, streams=SMALL_STREAMS, seed=st.integers(0, 2**16),
            batch_size=st.integers(1, 120))
@@ -575,6 +600,19 @@ class TestEvaluateFrames:
             np.testing.assert_allclose(blocked[name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
                                        err_msg=name)
 
+    def test_each_stream_frees_its_tables_before_the_next_builds_its_own(self):
+        """forward_at over a 512-frame chunk at paper geometry peaks near the
+        largest single stream's `stream_outputs_at` (52 MB at S=9, its
+        tables included), not at the 72 MB of every stream's tables held
+        at once."""
+        model = build_raw_model("multi_span", PAPER, 3, hidden_dims=())
+        buffer, centers = frames_in_buffer(np.random.default_rng(0), model, 512)
+        buffer = buffer.astype(np.float32)
+        stream_peak = max(traced_peak(lambda: msam.model.stream_outputs_at(s, buffer, centers))[1]
+                          for s in model.streams)
+        _, peak = traced_peak(lambda: model.forward_at(buffer, centers))
+        assert peak < 1.25 * stream_peak
+
     def test_shared_and_gathered_streams_in_one_model(self):
         sharing, gathered = small_config(32, SMALL_GEOMETRIES[0]), small_config(7, SMALL_GEOMETRIES[0])
         assert shares_positions(sharing) and not shares_positions(gathered)
@@ -612,7 +650,8 @@ class TestEvaluateFrames:
                                            atol=tol * np.abs(expected).max())
             probs = model.forward_batch(dataset.inputs(idxs))
             labels = dataset.labels[idxs]
-            loss, accuracy = evaluate_frames(model, dataset, idxs, batch_size=batch_size)
+            with mock.patch.object(msam.trainer, "EVAL_CHUNK", batch_size):
+                loss, accuracy = evaluate_frames(model, dataset, idxs)
             assert loss == pytest.approx(cross_entropy_batch(probs, labels), rel=tol)
             assert accuracy == 100.0 * int((probs.argmax(axis=1) == labels).sum()) / len(idxs)
 
