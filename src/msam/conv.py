@@ -1,4 +1,4 @@
-"""Strided 1-D convolution primitives, span arithmetic and their gradients.
+"""Strided 1-D convolution primitives, span arithmetic and parameter gradients.
 
 A convolution layer is a bank of K kernels of length L slid with stride S
 over a raw sample segment.  "Convolution" here means windowed dot products
@@ -79,15 +79,10 @@ def conv1d_forward_batch(segments: np.ndarray, bank: KernelBank) -> np.ndarray:
     return maps.reshape(b, m, -1)
 
 
-def conv1d_backward_batch(segments: np.ndarray, bank: KernelBank, upstream: np.ndarray,
-                          input_grads: bool = True):
-    """Exact gradients of conv1d_forward_batch; upstream has shape (B, M, K).
-
-    Returns (weight_grads, bias_grads, input_grads).  Weight and bias
-    gradients are summed over the batch; input gradients keep it, (B, T).
-    With `input_grads=False` (a first layer, whose input is data) the input
-    gradients are not computed and None takes their place.
-    """
+def conv1d_backward_batch(segments: np.ndarray, bank: KernelBank, upstream: np.ndarray):
+    """(weight_grads, bias_grads) of conv1d_forward_batch, summed over the
+    batch; upstream has shape (B, M, K).  Input gradients are the caller's to
+    scatter: each stream path lays out conv2's inputs its own way."""
     windows = sliding_windows(segments, bank.kernel_len, bank.stride)
     b, m, l = windows.shape
     if upstream.shape != (b, m, bank.num_kernels):
@@ -96,13 +91,4 @@ def conv1d_backward_batch(segments: np.ndarray, bank: KernelBank, upstream: np.n
             f"feature maps shape {(b, m, bank.num_kernels)}"
         )
     rows = upstream.reshape(-1, bank.num_kernels)
-    weight_grads = rows.T @ windows.reshape(-1, l)
-    bias_grads = rows.sum(axis=0)
-    if not input_grads:
-        return weight_grads, bias_grads, None
-    window_grads = (rows @ bank.weights).reshape(b, m, l)
-    segment_grads = np.zeros_like(segments, dtype=upstream.dtype)
-    s = bank.stride
-    for i in range(m):
-        segment_grads[:, i * s : i * s + l] += window_grads[:, i]
-    return weight_grads, bias_grads, segment_grads
+    return rows.T @ windows.reshape(-1, l), rows.sum(axis=0)

@@ -47,13 +47,6 @@ def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray,
     return loss, grads, dfeat
 
 
-def sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """`np.unique(values)` by one sort; NumPy 2's hash-based unique is ~20x
-    slower on (frames, map size) grids of positions."""
-    v = np.sort(values, axis=None)
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
-
-
 def conv_tables(cfg: StreamConfig, starts: np.ndarray):
     """Which frames of windows starting at `starts` take the table path,
     and the rows it convolves for them; None if no frame does.
@@ -75,52 +68,56 @@ def conv_tables(cfg: StreamConfig, starts: np.ndarray):
     second_map_size).
     """
     s, m1, k1 = cfg.first_stride, cfg.first_map_size, cfg.first_num_kernels
-
-    def steps(order):
-        # Lattice steps from each frame to the one before it of the same
-        # phase, which reads furthest of all before it; m1 across phases,
-        # where the step is not a multiple of the stride.
-        step = np.diff(starts[order])
-        return np.where(step % s == 0, np.minimum(step // s, m1), m1)
-
+    # Rows each frame adds to the table so its positions are the last m1: its
+    # lattice steps past the frame before it of its phase, m1 across phases.
+    # Fewer than m1 means the two share; after a lone frame, m1 either way.
     order = np.lexsort((starts, starts % s))
-    overlaps = steps(order) < m1
-    shared = np.zeros(len(starts), dtype=bool)
-    shared[order[1:][overlaps]] = shared[order[:-1][overlaps]] = True
-    if not shared.any():
-        return None
-    # Rows each shared frame adds to the table, so that its positions are
-    # the m1 rows that end with its own.
-    order = order[shared[order]]
+    step = np.diff(starts[order])
     new = np.full(len(order), m1)
-    new[1:] = steps(order)
-    rows = int(new.sum())
+    new[1:] = np.where(step % s == 0, np.minimum(step // s, m1), m1)
+    sharing = np.append(new[1:] < m1, False)
+    sharing[1:] |= new[1:] < m1
+    if not sharing.any():
+        return None
+    order, new = order[sharing], new[sharing]
+    shared = np.zeros(len(starts), dtype=bool)
+    shared[order] = True
     row0 = np.cumsum(new) - m1
     flat = k1 * row0[:, None] + cfg.second_stride * np.arange(cfg.second_map_size)
-    offsets = sorted_distinct(flat)
+    # np.unique by one sort: NumPy 2's hash-based unique is ~20x slower here.
+    offsets = np.sort(flat, axis=None)
+    offsets = offsets[np.concatenate(([True], offsets[1:] != offsets[:-1]))]
     index = np.empty((len(starts), cfg.second_map_size), dtype=flat.dtype)
     index[order] = np.searchsorted(offsets, flat)
-    positions = np.repeat(starts[order] - s * row0, new) + s * np.arange(rows)
+    positions = np.repeat(starts[order] - s * row0, new) + s * np.arange(new.sum())
     return shared, positions, offsets, index[shared]
 
 
-def window_outputs_at(stream: Stream, buffer: np.ndarray, centers):
-    """`stream_outputs_at` by one gathered window per frame."""
-    w = gather_windows(buffer, centers, stream.config.input_span)
-    y = conv1d_forward_batch(w, stream.first_layer)
+def window_outputs_at(stream: Stream, windows: np.ndarray):
+    """`stream_outputs_at` of the frames whose (B, input_span) windows are
+    given, one window per frame."""
+    conv2 = stream.second_layer
+    y = conv1d_forward_batch(windows, stream.first_layer)
     np.maximum(y, 0, out=y)
-    o = conv1d_forward_batch(y.reshape(len(w), -1), stream.second_layer)
+    flat = y.reshape(len(windows), -1)
+    o = conv1d_forward_batch(flat, conv2)
     np.maximum(o, 0, out=o)
 
     def backward(do):
-        dw2, db2, dy = conv1d_backward_batch(y.reshape(len(w), -1), stream.second_layer, do)
+        dw2, db2 = conv1d_backward_batch(flat, conv2, do)
+        # conv2's input gradients, overlap-added one conv2 position at a time.
+        m2, k2 = do.shape[1:]
+        drows = do.reshape(-1, k2) @ conv2.weights
+        dy = np.zeros_like(flat, dtype=do.dtype)
+        for i in range(m2):
+            dy[:, i * conv2.stride : i * conv2.stride + conv2.kernel_len] += drows[i::m2]
+        del drows
         dy = dy.reshape(y.shape)
         dy *= y > 0
-        # conv1's input is the waveform: its gradient would be discarded.
-        dw1, db1, _ = conv1d_backward_batch(w, stream.first_layer, dy, input_grads=False)
+        dw1, db1 = conv1d_backward_batch(windows, stream.first_layer, dy)
         return dw1, db1, dw2, db2
 
-    return o.reshape(len(w), -1), backward
+    return o.reshape(len(windows), -1), backward
 
 
 def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, index):
@@ -156,8 +153,7 @@ def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, ind
         do2 = np.zeros((len(offsets), 1, k2), dtype=do.dtype)
         np.add.at(do2.reshape(-1), (k2 * index[..., None] + np.arange(k2)).reshape(-1),
                   do.reshape(-1))
-        dw2, db2, _ = conv1d_backward_batch(windows2[offsets], stream.second_layer, do2,
-                                            input_grads=False)
+        dw2, db2 = conv1d_backward_batch(windows2[offsets], stream.second_layer, do2)
         by_residue = np.argsort(offsets % l2, kind="stable")
         drows = do2[by_residue, 0] @ stream.second_layer.weights
         ordered = offsets[by_residue]
@@ -169,7 +165,7 @@ def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, ind
             dy[q : q + l2 * (lanes[-1] + 1)].reshape(-1, l2)[lanes] += drows[a:b]
         dy = dy.reshape(y.shape)
         dy *= y > 0
-        dw1, db1, _ = conv1d_backward_batch(rows1, stream.first_layer, dy, input_grads=False)
+        dw1, db1 = conv1d_backward_batch(rows1, stream.first_layer, dy)
         return dw1, db1, dw2, db2
 
     return o[index].reshape(len(index), -1), backward
@@ -185,20 +181,21 @@ def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers):
     The frames `conv_tables` picks take the table path; the others take
     the window path.
     """
+    span = stream.config.input_span
     centers = np.asarray(centers)
-    tables = conv_tables(stream.config, window_starts(buffer, centers, stream.config.input_span))
+    tables = conv_tables(stream.config, window_starts(buffer, centers, span))
     if tables is None:
-        return window_outputs_at(stream, buffer, centers)
+        return window_outputs_at(stream, gather_windows(buffer, centers, span))
     shared, *rows = tables
     o, backward = table_outputs_at(stream, buffer, *rows)
     if shared.all():
         return o, backward
-    o_window, backward_window = window_outputs_at(stream, buffer, centers[~shared])
+    o_lone, backward_lone = window_outputs_at(stream, gather_windows(buffer, centers[~shared], span))
     outputs = np.empty((len(centers), o.shape[1]), dtype=o.dtype)
-    outputs[shared], outputs[~shared] = o, o_window
+    outputs[shared], outputs[~shared] = o, o_lone
 
     def backward_both(do):
-        return [a + b for a, b in zip(backward(do[shared]), backward_window(do[~shared]))]
+        return [a + b for a, b in zip(backward(do[shared]), backward_lone(do[~shared]))]
 
     return outputs, backward_both
 
@@ -237,8 +234,9 @@ class RawWaveformModel:
     def frames(self, utterances):
         """(buffer, centers) of the utterances' frames: the samples in the
         model dtype, each utterance after ceil(max_span/2) zeros and the last
-        one before as many, so edge windows (the `centered_window` rule) read
-        zeros, never a neighbouring utterance; a centre is a sample."""
+        one before as many, so the edge windows [c - ceil(span/2), c -
+        ceil(span/2) + span) of centres c read zeros, never a neighbouring
+        utterance; a centre is a sample."""
         gap = (max(self.spans) + 1) // 2
         # A slot holds the samples and any frame centers past their end.
         slots = [max(len(u.signal), FRAME_SHIFT * u.num_frames) for u in utterances]
@@ -263,16 +261,14 @@ class RawWaveformModel:
 
     def features_batch(self, windows: Sequence[np.ndarray]) -> np.ndarray:
         """Feature vectors for per-stream window batches, shape (B, head.input_dim):
-        `window_outputs_at` of each batch laid end to end, then the projection
-        (multi-span only); the stream outputs are concatenated."""
+        `window_outputs_at` of each batch, then the projection (multi-span
+        only); the stream outputs are concatenated."""
         parts = []
         for stream, w in zip(self.streams, windows):
             span = stream.config.input_span
             if w.shape[1] != span:
                 raise GeometryError(f"window length {w.shape[1]} != stream span {span}")
-            centers = (span + 1) // 2 + span * np.arange(len(w))
-            o = window_outputs_at(stream, w.reshape(-1), centers)[0]
-            parts.append(self._project(stream, o))
+            parts.append(self._project(stream, window_outputs_at(stream, w)[0]))
         return np.concatenate(parts, axis=1)
 
     def features_at(self, buffer: np.ndarray, centers) -> np.ndarray:

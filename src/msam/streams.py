@@ -84,26 +84,10 @@ class Stream:
     projection: Optional[np.ndarray] = None  # (projection_dim, output_dim)
 
 
-def centered_window(samples: np.ndarray, center: int, span: int) -> np.ndarray:
-    """Window of `span` samples centered at `center`, zero-padded at edges.
-
-    For odd spans the extra sample is taken from the past: the window is
-    [center - ceil(span/2), center - ceil(span/2) + span).
-    """
-    samples = np.asarray(samples)
-    start = center - (span + 1) // 2
-    stop = start + span
-    window = np.zeros(span, dtype=samples.dtype)
-    lo = max(start, 0)
-    hi = min(stop, len(samples))
-    if hi > lo:
-        window[lo - start : hi - start] = samples[lo:hi]
-    return window
-
-
 def window_starts(buffer: np.ndarray, centers, span: int) -> np.ndarray:
-    """First sample of `centered_window(buffer, c, span)` for every centre c;
-    every window must lie inside `buffer`."""
+    """First sample of the window of each centre c, [c - ceil(span/2),
+    c - ceil(span/2) + span): for odd spans the extra sample is taken from
+    the past.  Every window must lie inside `buffer`."""
     starts = np.asarray(centers) - (span + 1) // 2
     if len(starts) and (starts.min() < 0 or starts.max() + span > len(buffer)):
         raise GeometryError(f"a window of span {span} reaches outside the buffer")
@@ -111,7 +95,8 @@ def window_starts(buffer: np.ndarray, centers, span: int) -> np.ndarray:
 
 
 def gather_windows(buffer: np.ndarray, centers, span: int) -> np.ndarray:
-    """`centered_window(buffer, c, span)` for every centre c, shape (B, span),
-    gathered from one strided view; every window must lie inside `buffer`."""
+    """The window [c - ceil(span/2), c - ceil(span/2) + span) of `buffer`
+    for every centre c, shape (B, span), gathered from one strided view;
+    every window must lie inside `buffer`."""
     starts = window_starts(buffer, centers, span)
     return np.lib.stride_tricks.sliding_window_view(buffer, span)[starts]

@@ -1,4 +1,3 @@
-import ctypes
 import hashlib
 import json
 import os
@@ -11,39 +10,29 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from msam import openblas
 from msam.dataio import FRAME_SHIFT, SAMPLE_RATE
 from msam.model import build_raw_model
 from msam.streams import StreamConfig
 
 DATA = Path(__file__).parent / "data"
-NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-
-
-def openblas_kernel(libdir=NUMPY_LIBS):
-    """(core type, thread count) of the OpenBLAS NumPy bundles, read through
-    ctypes; "unknown" for each that its library or symbol does not give.
-    The library's file name carries a build hash, so it is globbed."""
-    core = threads = "unknown"
-    try:
-        lib = ctypes.CDLL(str(sorted(Path(libdir).glob("libscipy_openblas64_*.so"))[0]))
-    except (IndexError, OSError):
-        return core, threads
-    corename = getattr(lib, "scipy_openblas_get_corename64_", None)
-    if corename is not None:
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        core = corename().decode()
-    num_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    if num_threads is not None:
-        num_threads.argtypes, num_threads.restype = [], ctypes.c_int
-        threads = str(num_threads())
-    return core, threads
 
 
 def pytest_report_header(config):
     """Name the BLAS kernel, whose sums the byte pins depend on."""
-    core, threads = openblas_kernel()
+    blas = openblas()
+    core = blas.get_corename().decode() if blas else "unknown"
+    threads = blas.get_num_threads() if blas else "unknown"
     return (f"numpy {np.__version__}, OpenBLAS core {core}, threads {threads}, "
             f"MSAM_THREADS={os.environ.get('MSAM_THREADS', 'unset')}")
+
+
+def cpu_has_avx2() -> bool:
+    """The CPU runs AVX2, which OpenBLAS's Haswell kernels need."""
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
 
 
 def tiny_stream_config(stride: int, kernel_len: int = 5) -> StreamConfig:
@@ -67,6 +56,22 @@ def frames_in_buffer(rng, model, count):
     margin = max(model.spans)
     centers = margin + FRAME_SHIFT * np.arange(count)
     return rng.uniform(-1, 1, size=centers[-1] + margin), centers
+
+
+def centered_window(samples: np.ndarray, center: int, span: int) -> np.ndarray:
+    """Oracle: the window of `span` samples centred at `center`, one frame at
+    a time, zero-padded at the edges.  For odd spans the extra sample is
+    taken from the past: the window is [center - ceil(span/2),
+    center - ceil(span/2) + span)."""
+    samples = np.asarray(samples)
+    start = center - (span + 1) // 2
+    stop = start + span
+    window = np.zeros(span, dtype=samples.dtype)
+    lo = max(start, 0)
+    hi = min(stop, len(samples))
+    if hi > lo:
+        window[lo - start : hi - start] = samples[lo:hi]
+    return window
 
 
 def span_model(spans, dtype=np.float64):
@@ -129,6 +134,10 @@ def finite_difference_grads(loss_fn, params: dict, step: float = 1e-5) -> dict:
 
 
 def max_relative_error(analytic: dict, numeric: dict) -> float:
+    """Largest elementwise relative error between two gradient dicts, which
+    must name the same tensors: a dropped gradient is a failure, not a
+    tensor left unchecked."""
+    assert analytic.keys() == numeric.keys(), (sorted(analytic), sorted(numeric))
     worst = 0.0
     for name in analytic:
         a, n = np.asarray(analytic[name]), np.asarray(numeric[name])

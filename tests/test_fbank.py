@@ -23,6 +23,7 @@ from msam.fbank import (
 from msam.model import build_fbank_model
 from msam.trainer import FrameDataset
 
+from conftest import cpu_has_avx2
 
 class TestMelFilterbank:
     def test_rows_sum_positive(self):
@@ -101,13 +102,6 @@ def numpy_uses_openblas() -> bool:
     try:
         return "openblas" in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"].lower()
     except (AttributeError, KeyError, TypeError):
-        return False
-
-
-def cpu_has_avx2() -> bool:
-    try:
-        return "avx2" in Path("/proc/cpuinfo").read_text()
-    except OSError:
         return False
 
 

@@ -1,14 +1,16 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from msam.conv import output_map_size
+import msam.model
+from msam.conv import conv1d_backward_batch, output_map_size
 from msam.errors import GeometryError, ValidationError
-from msam.model import build_raw_model
-from msam.streams import StreamConfig, centered_window
+from msam.model import build_raw_model, window_outputs_at
+from msam.streams import StreamConfig
 
-from conftest import tiny_stream_config
+from conftest import centered_window, tiny_stream_config
 
 DEFAULT_SPANS = {4: 846, 9: 1841, 15: 3035, 20: 4030}
 
@@ -98,6 +100,42 @@ class TestStreamForward:
         model = raw_model([2], "single_span")
         with pytest.raises(GeometryError):
             model.features_batch([np.zeros((2, cfg.input_span + 1))])
+
+
+class TestWindowPathBackward:
+    """The window path scatters conv2's input gradients itself and hands
+    them, ReLU-masked, to conv1's parameter backward."""
+
+    @staticmethod
+    def conv1_upstream(stream, windows, do):
+        """The gradient conv1's backward receives from the window path's
+        backward of `do`, and the four parameter gradients it returns."""
+        with mock.patch.object(msam.model, "conv1d_backward_batch",
+                               wraps=conv1d_backward_batch) as spy:
+            grads = window_outputs_at(stream, windows)[1](do)
+        (conv1,) = [c for c in spy.call_args_list if c.args[1] is stream.first_layer]
+        return conv1.args[2], grads
+
+    def test_zero_upstream_gives_zero_grads(self, rng):
+        stream = raw_model([3], "single_span").streams[0]
+        cfg = stream.config
+        do = np.zeros((2, cfg.second_map_size, cfg.second_num_kernels))
+        dy, grads = self.conv1_upstream(stream, rng.normal(size=(2, cfg.input_span)), do)
+        assert not dy.any() and not any(g.any() for g in grads)
+
+    def test_single_window_input_grad_is_scaled_kernel(self, rng):
+        """With one conv2 window per frame and every conv1 unit active,
+        conv1 receives each frame's upstream times conv2's kernel."""
+        cfg = StreamConfig(first_stride=1, first_kernel_len=5, first_map_size=4,
+                           first_num_kernels=2, second_stride=1, second_kernel_len=8,
+                           second_map_size=1, second_num_kernels=1, projection_dim=1)
+        stream = build_raw_model("single_span", [cfg], 2, hidden_dims=(),
+                                 dtype=np.float64).streams[0]
+        stream.first_layer.biases[:] = 100.0  # above any |w . x| of these windows
+        windows = rng.uniform(-1, 1, size=(2, cfg.input_span))
+        dy, _ = self.conv1_upstream(stream, windows, np.array([[[2.5]], [[-1.0]]]))
+        kernel = stream.second_layer.weights[0]
+        np.testing.assert_allclose(dy.reshape(2, -1), [2.5 * kernel, -kernel])
 
 
 class TestMultiSpanForward:

@@ -1,7 +1,11 @@
 import errno
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +16,6 @@ from hypothesis import strategies as st
 import msam.model
 from msam.checkpoint import load_checkpoint, save_checkpoint
 from msam.cli import EXIT_IO, main
-from msam.conv import conv1d_backward_batch
 from msam.errors import FormatError
 from msam.fbank import FbankConfig, stack_context
 from msam.model import (
@@ -35,6 +38,7 @@ from msam.trainer import PretrainSchedule, pretrain_transition
 from conftest import (
     BYTE_OPS,
     DATA,
+    cpu_has_avx2,
     finite_difference_grads,
     frames_in_buffer,
     max_relative_error,
@@ -209,27 +213,6 @@ class TestModelBackward:
         numeric = finite_difference_grads(loss, model.params(), step=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
 
-    @pytest.mark.parametrize("kind, configs", [
-        ("single_span", [tiny_stream_config(3)]),
-        ("multi_span", [tiny_stream_config(s) for s in (2, 3, 4)]),
-        ("single_span", [desk_scale_config(15, 50)]),
-        ("multi_span", [desk_scale_config(s, 50) for s in (4, 9, 15)]),
-    ], ids=["tiny-single", "tiny-multi", "desk-single", "desk-multi"])
-    def test_input_gradients_asked_of_conv2_only(self, rng, kind, configs):
-        """conv1 reads the waveform, so its backward computes weight and bias
-        gradients only; conv2's input gradients feed conv1's."""
-        model = build_raw_model(kind, configs, 3, hidden_dims=(4,), seed=3)
-        buffer, centers = frames_in_buffer(rng, model, 4)
-        labels = np.array([0, 1, 2, 1])
-        with mock.patch.object(msam.model, "conv1d_backward_batch",
-                               wraps=conv1d_backward_batch) as spy:
-            model.loss_and_grads(buffer, centers, labels)
-        asked = [(id(c.args[1]), c.kwargs.get("input_grads", True)) for c in spy.call_args_list]
-        expected = []
-        for stream in model.streams:
-            expected += [(id(stream.second_layer), True), (id(stream.first_layer), False)]
-        assert asked == expected
-
     def test_fbank_head_finite_difference(self, rng):
         model = build_fbank_model(
             3, FbankConfig(num_filters=4), context_frames=3, hidden_dims=(3,),
@@ -270,6 +253,65 @@ class TestModelBackward:
         assert loss == full_loss and grads.keys() == full_grads.keys()
         for name, g in grads.items():
             assert g.tobytes() == full_grads[name].tobytes(), name
+
+
+# A paper-geometry step and eval chunk in a child process on one BLAS thread:
+# every stream sends the step's 24 consecutive frames down the table path and
+# its 8 frames 25 apart down the window path.  It prints the OpenBLAS core
+# and the sha256 of the gradients, in params() order, then the probabilities.
+PAPER_PIN_RUN = """
+import hashlib
+import numpy as np
+from msam import openblas
+from msam.dataio import normalize_global, synth_corpus
+from msam.model import build_raw_model, conv_tables
+from msam.streams import StreamConfig, window_starts
+from msam.trainer import FrameDataset
+
+configs = [StreamConfig(first_stride=s, first_kernel_len=50) for s in (4, 9, 15)]
+model = build_raw_model("multi_span", configs, 8, hidden_dims=(16,))
+dataset = FrameDataset(model, normalize_global(synth_corpus(3, 2, 2.0, seed=5)))
+rows = np.concatenate([np.arange(40, 64), 100 + 25 * np.arange(8)])
+centers = dataset.centers[rows]
+for cfg in configs:
+    shared = conv_tables(cfg, window_starts(dataset.buffer, centers, cfg.input_span))[0]
+    assert shared.tolist() == [True] * 24 + [False] * 8
+_, grads = model.loss_and_grads(dataset.buffer, centers, dataset.labels[rows])
+probs = model.forward_at(dataset.buffer, dataset.centers[:128])
+digest = hashlib.sha256()
+for name in model.params():
+    digest.update(grads[name].tobytes())
+digest.update(probs.tobytes())
+print(openblas().get_corename().decode(), digest.hexdigest())
+"""
+# Per OpenBLAS core; the float32 sums differ between kernels and between 1
+# and 2 BLAS threads.
+PAPER_PIN = {
+    "SkylakeX": "2e59db9fe0d0d1abd8c869585a5581cabff28b6a61fe4f0f4e56a83592889905",
+    "Haswell": "5431d7545aa3d583cee85e57e7c68c7bea3132b47456f38b4f6753a4fecffd21",
+}
+
+
+class TestPaperGeometryPin:
+    @pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["host-kernel", "Haswell"])
+    def test_step_and_eval_bytes(self, coretype):
+        """A seeded float32 M_4,9,15^50,50,50 at paper geometry, 8 classes
+        and one hidden layer of 16, on `normalize_global(synth_corpus(3, 2,
+        2.0, seed=5))`: one `loss_and_grads` over both stream paths and
+        `forward_at` over the first 128 frames give the pinned bytes."""
+        if coretype == "Haswell" and not cpu_has_avx2():
+            pytest.skip("/proc/cpuinfo lists no avx2, which OpenBLAS's Haswell kernels need")
+        src = str(Path(msam.model.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "MSAM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        child = subprocess.run([sys.executable, "-c", PAPER_PIN_RUN], env=env,
+                               capture_output=True, text=True, check=True)
+        core, digest = child.stdout.split()
+        if core not in PAPER_PIN:
+            pytest.skip(f"no digest is recorded for OpenBLAS core {core}")
+        assert digest == PAPER_PIN[core]
 
 
 class TestParamShapes:

@@ -16,7 +16,7 @@ from msam.errors import ValidationError
 from msam.fbank import FbankConfig
 from msam.model import build_fbank_model, build_raw_model
 from msam.network import cross_entropy_batch
-from msam.streams import StreamConfig, centered_window, desk_scale_config
+from msam.streams import StreamConfig, desk_scale_config
 from msam.trainer import (
     SGD_BLOCK,
     FrameDataset,
@@ -32,8 +32,8 @@ from msam.trainer import (
     train_model,
 )
 
-from conftest import (frames_in_buffer, randomize_biases, span_model, tiny_stream_config,
-                      traced_peak)
+from conftest import (centered_window, frames_in_buffer, randomize_biases, span_model,
+                      tiny_stream_config, traced_peak)
 
 
 class TestSgdStep:
@@ -489,7 +489,7 @@ class TestPathRule:
                                wraps=msam.model.window_outputs_at) as window:
             model.loss_and_grads(buffer, centers, np.zeros(len(centers), dtype=int))
         return ([len(c.args[4]) for c in table.call_args_list],
-                [len(c.args[2]) for c in window.call_args_list])
+                [len(c.args[1]) for c in window.call_args_list])
 
     def test_overlapping_frames_take_the_table_path(self):
         """32 consecutive frames: every frame shares a position in each
