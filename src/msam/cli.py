@@ -47,17 +47,19 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
-_SPEC_RE = re.compile(r"^([IMF])_\{?([0-9,]+)\}?\^\{?([0-9,]+)\}?$")
+# Each list is decimal values joined by commas, optionally inside one pair of braces.
+_SPEC_RE = re.compile(r"([IMF])_(\{)?([0-9]+(?:,[0-9]+)*)(?(2)\})"
+                      r"\^(\{)?([0-9]+(?:,[0-9]+)*)(?(4)\})")
 
 
 def parse_model_spec(spec: str) -> dict:
     """Parse an I/M/F model spec string into kind, strides and kernel sizes."""
-    match = _SPEC_RE.match(spec.strip())
+    match = _SPEC_RE.fullmatch(spec.strip())
     if not match:
         raise ValidationError(f"malformed model spec {spec!r}")
-    family, strides_s, lens_s = match.groups()
-    strides = [int(v) for v in strides_s.split(",") if v]
-    lens = [int(v) for v in lens_s.split(",") if v]
+    family, _, strides_s, _, lens_s = match.groups()
+    strides = [int(v) for v in strides_s.split(",")]
+    lens = [int(v) for v in lens_s.split(",")]
     if len(strides) != len(lens):
         raise ValidationError(
             f"model spec {spec!r}: {len(strides)} strides but {len(lens)} kernel sizes"
@@ -97,6 +99,8 @@ def parse_synth_spec(spec: str) -> dict:
         key, _, value = (part.strip() for part in item.partition("="))
         if key not in _SYNTH_KEYS:
             raise ValidationError(f"synth spec: unknown key {key!r}; expected {list(_SYNTH_KEYS)}")
+        if _SYNTH_KEYS[key] in kwargs:
+            raise ValidationError(f"synth spec: key {key!r} given twice")
         try:
             kwargs[_SYNTH_KEYS[key]] = params[_SYNTH_KEYS[key]].annotation(value)
         except ValueError as exc:
@@ -110,8 +114,7 @@ def parse_synth_spec(spec: str) -> dict:
 # Each scale builds a stream from the spec's first-layer stride and kernel
 # length; each normalization maps a corpus to the corpus training sees.
 _SCALES = {"paper": StreamConfig, "desk": desk_scale_config}
-_NORMALIZATIONS = {"global": normalize_global, "utterance_meeting": normalize_utterance_meeting,
-                   "none": lambda corpus: corpus}
+_NORMALIZATIONS = {"global": normalize_global, "utterance_meeting": normalize_utterance_meeting}
 
 
 @dataclass

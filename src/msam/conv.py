@@ -1,9 +1,9 @@
 """Strided 1-D convolution primitives, span arithmetic and parameter gradients.
 
-A convolution layer is a bank of K kernels of length L slid with stride S
-over a raw sample segment.  "Convolution" here means windowed dot products
-without kernel flipping (cross-correlation), which is the standard neural
-network convention.
+A convolution layer is a bank of K kernels of length L that multiplies
+im2col rows its caller lays out (`sliding_windows` at the stream's stride,
+or gathered rows).  "Convolution" here means windowed dot products without
+kernel flipping (cross-correlation), the standard neural network convention.
 """
 
 from dataclasses import dataclass
@@ -15,11 +15,10 @@ from .errors import GeometryError, GradientShapeError
 
 @dataclass
 class KernelBank:
-    """Parameters of one convolution layer: K kernels of length L, stride S."""
+    """Parameters of one convolution layer: K kernels of length L; its stride is the stream's."""
 
     weights: np.ndarray  # shape (K, L)
     biases: np.ndarray  # shape (K,)
-    stride: int
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights)
@@ -28,8 +27,6 @@ class KernelBank:
             raise ValueError("weights must be a K x L matrix")
         if self.biases.shape != (self.weights.shape[0],):
             raise ValueError("biases must have one entry per kernel")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
     @property
     def num_kernels(self) -> int:
@@ -66,29 +63,23 @@ def sliding_windows(segment: np.ndarray, kernel_len: int, stride: int) -> np.nda
     return windows[..., ::stride, :][..., :m, :]
 
 
-def conv1d_forward_batch(segments: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """Convolve a batch of segments, shape (B, T) -> frame-major maps (B, M, K).
-
-    Frame m's K kernel responses are contiguous, so `reshape(B, M*K)` is a
-    view and is exactly the flat input a following layer convolves.
-    """
-    windows = sliding_windows(segments, bank.kernel_len, bank.stride)
-    b, m, l = windows.shape
-    maps = windows.reshape(-1, l) @ bank.weights.T
+def conv1d_forward_batch(rows: np.ndarray, bank: KernelBank) -> np.ndarray:
+    """Maps (..., K) of im2col rows (..., L).  Rows (B, M, L) give frame-major
+    maps (B, M, K), whose `reshape(B, M*K)` is a view and the next layer's input."""
+    if rows.shape[-1] != bank.kernel_len:
+        raise GeometryError(f"rows of {rows.shape[-1]} samples for kernels of {bank.kernel_len}")
+    maps = rows.reshape(-1, bank.kernel_len) @ bank.weights.T
     maps += bank.biases
-    return maps.reshape(b, m, -1)
+    return maps.reshape(*rows.shape[:-1], bank.num_kernels)
 
 
-def conv1d_backward_batch(segments: np.ndarray, bank: KernelBank, upstream: np.ndarray):
+def conv1d_backward_batch(rows: np.ndarray, bank: KernelBank, upstream: np.ndarray):
     """(weight_grads, bias_grads) of conv1d_forward_batch, summed over the
-    batch; upstream has shape (B, M, K).  Input gradients are the caller's to
-    scatter: each stream path lays out conv2's inputs its own way."""
-    windows = sliding_windows(segments, bank.kernel_len, bank.stride)
-    b, m, l = windows.shape
-    if upstream.shape != (b, m, bank.num_kernels):
-        raise GradientShapeError(
-            f"upstream gradient shape {upstream.shape} does not match "
-            f"feature maps shape {(b, m, bank.num_kernels)}"
-        )
-    rows = upstream.reshape(-1, bank.num_kernels)
-    return rows.T @ windows.reshape(-1, l), rows.sum(axis=0)
+    rows; upstream has the maps' shape.  Each stream path scatters its own
+    input gradients."""
+    shape = (*rows.shape[:-1], bank.num_kernels)
+    if upstream.shape != shape:
+        raise GradientShapeError(f"upstream gradient shape {upstream.shape} does not match "
+                                 f"feature maps shape {shape}")
+    grads = upstream.reshape(-1, bank.num_kernels)
+    return grads.T @ rows.reshape(-1, bank.kernel_len), grads.sum(axis=0)

@@ -11,7 +11,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .conv import KernelBank, conv1d_backward_batch, conv1d_forward_batch
+from .conv import KernelBank, conv1d_backward_batch, conv1d_forward_batch, sliding_windows
 from .dataio import FRAME_SHIFT, SAMPLE_RATE
 from .errors import GeometryError, ValidationError
 from .fbank import FbankConfig, compute_fbank, stack_context
@@ -95,26 +95,28 @@ def conv_tables(cfg: StreamConfig, starts: np.ndarray):
 
 def window_outputs_at(stream: Stream, windows: np.ndarray):
     """`stream_outputs_at` of the frames whose (B, input_span) windows are
-    given, one window per frame."""
-    conv2 = stream.second_layer
-    y = conv1d_forward_batch(windows, stream.first_layer)
+    given; each layer convolves their (B, M, L) strided windows."""
+    cfg, conv2 = stream.config, stream.second_layer
+    rows1 = sliding_windows(windows, cfg.first_kernel_len, cfg.first_stride)
+    y = conv1d_forward_batch(rows1, stream.first_layer)
     np.maximum(y, 0, out=y)
     flat = y.reshape(len(windows), -1)
-    o = conv1d_forward_batch(flat, conv2)
+    rows2 = sliding_windows(flat, cfg.second_kernel_len, cfg.second_stride)
+    o = conv1d_forward_batch(rows2, conv2)
     np.maximum(o, 0, out=o)
 
     def backward(do):
-        dw2, db2 = conv1d_backward_batch(flat, conv2, do)
+        dw2, db2 = conv1d_backward_batch(rows2, conv2, do)
         # conv2's input gradients, overlap-added one conv2 position at a time.
-        m2, k2 = do.shape[1:]
-        drows = do.reshape(-1, k2) @ conv2.weights
+        s2, l2, m2 = cfg.second_stride, cfg.second_kernel_len, cfg.second_map_size
+        drows = do.reshape(-1, conv2.num_kernels) @ conv2.weights
         dy = np.zeros_like(flat, dtype=do.dtype)
         for i in range(m2):
-            dy[:, i * conv2.stride : i * conv2.stride + conv2.kernel_len] += drows[i::m2]
+            dy[:, i * s2 : i * s2 + l2] += drows[i::m2]
         del drows
         dy = dy.reshape(y.shape)
         dy *= y > 0
-        dw1, db1 = conv1d_backward_batch(windows, stream.first_layer, dy)
+        dw1, db1 = conv1d_backward_batch(rows1, stream.first_layer, dy)
         return dw1, db1, dw2, db2
 
     return o.reshape(len(windows), -1), backward
@@ -144,18 +146,18 @@ def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, ind
     o = np.empty((len(offsets), cfg.second_num_kernels), dtype=y.dtype)
     for a in range(0, len(offsets), CONV2_BLOCK_ROWS):
         block = offsets[a : a + CONV2_BLOCK_ROWS]
-        o[a : a + len(block)] = conv1d_forward_batch(windows2[block], stream.second_layer)[:, 0]
+        o[a : a + len(block)] = conv1d_forward_batch(windows2[block], stream.second_layer)
     np.maximum(o, 0, out=o)
 
     def backward(do):
         # Each distinct window's gradient is the sum over the frames that read it.
         k2 = cfg.second_num_kernels
-        do2 = np.zeros((len(offsets), 1, k2), dtype=do.dtype)
+        do2 = np.zeros((len(offsets), k2), dtype=do.dtype)
         np.add.at(do2.reshape(-1), (k2 * index[..., None] + np.arange(k2)).reshape(-1),
                   do.reshape(-1))
         dw2, db2 = conv1d_backward_batch(windows2[offsets], stream.second_layer, do2)
         by_residue = np.argsort(offsets % l2, kind="stable")
-        drows = do2[by_residue, 0] @ stream.second_layer.weights
+        drows = do2[by_residue] @ stream.second_layer.weights
         ordered = offsets[by_residue]
         residues = ordered % l2
         bounds = np.flatnonzero(np.diff(residues, prepend=-1, append=l2))
@@ -486,10 +488,8 @@ def model_from_params(config: dict, params: dict):
     streams = []
     for i, c in enumerate(config["streams"]):
         c, name = StreamConfig(**c), f"stream{i}."
-        first = KernelBank(params[name + "conv1.weights"], params[name + "conv1.biases"],
-                           c.first_stride)
-        second = KernelBank(params[name + "conv2.weights"], params[name + "conv2.biases"],
-                            c.second_stride)
+        first = KernelBank(params[name + "conv1.weights"], params[name + "conv1.biases"])
+        second = KernelBank(params[name + "conv2.weights"], params[name + "conv2.biases"])
         streams.append(Stream(c, first, second, params.get(name + "projection")))
     return RawWaveformModel(config["kind"], streams, head)
 

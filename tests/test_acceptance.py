@@ -10,7 +10,8 @@ import numpy as np
 
 from msam.analysis import effective_lengths, kernel_spectra
 from msam.checkpoint import load_checkpoint, save_checkpoint
-from msam.conv import KernelBank, conv1d_forward_batch, output_map_size, required_span
+from msam.conv import (KernelBank, conv1d_forward_batch, output_map_size, required_span,
+                       sliding_windows)
 from msam.dataio import normalize_global, synth_corpus
 from msam.model import build_fbank_model, build_raw_model
 from msam.streams import StreamConfig, desk_scale_config
@@ -84,7 +85,7 @@ class TestAcceptance:
             weights = rng.normal(size=(k, l))
             biases = rng.normal(size=k)
             x = rng.normal(size=(2, t))
-            got = conv1d_forward_batch(x, KernelBank(weights, biases, s))
+            got = conv1d_forward_batch(sliding_windows(x, l, s), KernelBank(weights, biases))
             for row, segment in zip(got, x):
                 expected = naive_conv(segment, weights, biases, s)
                 worst = max(worst, float(np.max(np.abs(row.T - expected))))

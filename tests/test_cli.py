@@ -13,6 +13,8 @@ import msam.cli
 import msam.trainer
 from msam.cli import (
     _CONFIG_KEYS,
+    _NORMALIZATIONS,
+    _SCALES,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -96,6 +98,16 @@ class TestModelSpecs:
             with pytest.raises(ValidationError):
                 parse_model_spec(bad)
 
+    @pytest.mark.parametrize("spec", ["M_4,,9^50,,50", "M_,4,9,^50,50,", "I_15,^50",
+                                      "M_{4,9^50,50}", "M_4,9}^{50,50"])
+    def test_empty_field_or_unbalanced_brace_rejected(self, tmp_path, capsys, spec):
+        """These parsed as if the empty fields and stray braces were not there."""
+        with pytest.raises(ValidationError, match="malformed model spec"):
+            parse_model_spec(spec)
+        assert main(["train", "--model", spec, "--synth", SYNTH,
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "malformed model spec" in capsys.readouterr().err
+
     def test_synth_spec(self):
         parsed = parse_synth_spec(SYNTH)
         assert parsed == {
@@ -122,6 +134,17 @@ class TestModelSpecs:
                      f"classes=3,utterances=1,duration=1,{key}=5",
                      "--out", str(out)]) == EXIT_VALIDATION
         assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["classes", "seed"])
+    def test_repeated_synth_key_is_validation_error(self, tmp_path, capsys, key):
+        """The last of a repeated key silently won: `classes=3,...,classes=5`
+        gave 5 classes."""
+        out = tmp_path / "run"
+        assert main(["train", "--model", "I_15^50", "--synth",
+                     f"classes=3,utterances=1,duration=1,seed=2,{key}=5",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"key '{key}' given twice" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -424,6 +447,15 @@ class TestConfigFile:
                 documented[section].add(key.group(1))
         assert documented == _CONFIG_KEYS
 
+    @pytest.mark.parametrize("key,table", [("scale", _SCALES), ("normalization", _NORMALIZATIONS)])
+    def test_readme_lists_exactly_the_values_of_each_table(self, key, table):
+        """The `a | b` list that opens the comment after `key = ...` in the
+        README's ini block names exactly the values the parser's table
+        takes; a stale `| none` went unnoticed."""
+        comment = re.search(rf"^{key} = [^;]*; (.*)$", readme_ini_block(), re.M).group(1)
+        listed = re.match(r"\w+(?:\s*\|\s*\w+)*", comment).group()
+        assert {value.strip() for value in listed.split("|")} == set(table)
+
 
 class TestEvalCommand:
     def test_eval_matches_logged_cv_path(self, trained_run, capsys):
@@ -502,7 +534,7 @@ class TestEvalCommand:
         path = tmp_path / "m.ckpt"
         path.write_bytes(with_config((DATA / "trained_multi_span.ckpt").read_bytes(),
                                      lambda c: c["streams"][0].update(first_stride=2**40)))
-        assert load_checkpoint(path).streams[0].first_layer.stride == 2**40
+        assert load_checkpoint(path).streams[0].config.first_stride == 2**40
         assert main(["eval", str(path), "--synth", SYNTH]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: a span of ")
 

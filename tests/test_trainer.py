@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import msam.model
 import msam.trainer
 from msam.checkpoint import save_checkpoint
-from msam.conv import output_map_size
 from msam.dataio import FRAME_SHIFT, Corpus, Signal, Utterance, normalize_global, synth_corpus
 from msam.errors import ValidationError
 from msam.fbank import FbankConfig
@@ -405,25 +404,23 @@ def shared_frames(config, centers):
 
 def conv_batches(model, buffer, centers, compute=True, blocks=False):
     """features_at of the frames, and per stream the lists of (conv1, conv2)
-    shapes of the batches it passed to conv1d_forward_batch.  The table
-    path's conv2 blocks, one window of second_kernel_len values per row,
-    are summed into one batch; with blocks=True each call is listed.  With
-    compute=False the convolutions return zeros, which counts rows without
-    doing the work."""
+    shapes of the rows it passed to conv1d_forward_batch: (n, M, L) for a
+    window path batch of n frames, (rows, L) for the table path.  The
+    table path's conv2 blocks are summed into one batch; with blocks=True
+    each call is listed.  With compute=False the convolutions return
+    zeros, which counts rows without doing the work."""
     shapes = {}
     original = msam.model.conv1d_forward_batch
 
-    def spy(segments, bank):
+    def spy(rows, bank):
         calls = shapes.setdefault(id(bank), [])
-        if (not blocks and calls and segments.shape[1] == bank.kernel_len
-                and calls[-1][1] == bank.kernel_len):
-            calls[-1] = (calls[-1][0] + len(segments), bank.kernel_len)
+        if not blocks and calls and rows.ndim == 2 and len(calls[-1]) == 2:
+            calls[-1] = (calls[-1][0] + len(rows), bank.kernel_len)
         else:
-            calls.append(segments.shape)
+            calls.append(rows.shape)
         if compute:
-            return original(segments, bank)
-        m = output_map_size(segments.shape[1], bank.kernel_len, bank.stride)
-        return np.zeros((len(segments), m, bank.num_kernels), dtype=segments.dtype)
+            return original(rows, bank)
+        return np.zeros((*rows.shape[:-1], bank.num_kernels), dtype=rows.dtype)
 
     with mock.patch.object(msam.model, "conv1d_forward_batch", spy):
         features = model.features_at(buffer, centers)
@@ -446,8 +443,8 @@ def assert_conv_batches(model, centers, batches):
             expected2.append((rows2, cfg.second_kernel_len))
         if not shared.all():
             rest = int((~shared).sum())
-            expected1.append((rest, cfg.input_span))
-            expected2.append((rest, cfg.first_map_size * cfg.first_num_kernels))
+            expected1.append((rest, cfg.first_map_size, cfg.first_kernel_len))
+            expected2.append((rest, cfg.second_map_size, cfg.second_kernel_len))
         assert (conv1, conv2) == (expected1, expected2)
 
 
@@ -504,7 +501,8 @@ class TestPathRule:
         _, batches = conv_batches(build_raw_model("multi_span", PAPER, 3, hidden_dims=()),
                                   np.zeros(centers[-1] + 2000, dtype=np.float32), centers,
                                   compute=False)
-        assert [conv1 for conv1, _ in batches] == [[(8, cfg.input_span)] for cfg in PAPER]
+        assert [conv1 for conv1, _ in batches] == [[(8, cfg.first_map_size, cfg.first_kernel_len)]
+                                                   for cfg in PAPER]
 
     def test_frames_that_share_nothing_take_the_window_path(self):
         """Runs of 3 and 10 frames, a span apart.  At S=4 neighbours share;
@@ -512,6 +510,35 @@ class TestPathRule:
         centers = np.concatenate([2000 + FRAME_SHIFT * np.arange(3),
                                   9000 + FRAME_SHIFT * np.arange(10)])
         assert self.frames_per_path(PAPER, centers) == ([13, 2, 10], [11, 3])
+
+    def test_each_path_lays_out_its_own_rows(self):
+        """In one step whose S=9 and S=15 streams take both paths, every
+        conv call's rows end in its layer's kernel length: the window
+        path's are (B, M, L), its B frames first, the table path's 2-D."""
+        centers = np.concatenate([2000 + FRAME_SHIFT * np.arange(3),
+                                  9000 + FRAME_SHIFT * np.arange(10)])
+        model = build_raw_model("multi_span", PAPER, 3, hidden_dims=(4,))
+        buffer = np.random.default_rng(0).normal(size=centers[-1] + 2000).astype(np.float32)
+        layers = {}  # id(bank) -> (stream, kernel length, window path (B, M))
+        for i, (stream, lone) in enumerate(zip(model.streams, (0, 11, 3))):
+            cfg = stream.config
+            layers[id(stream.first_layer)] = (i, cfg.first_kernel_len, (lone, cfg.first_map_size))
+            layers[id(stream.second_layer)] = (i, cfg.second_kernel_len,
+                                               (lone, cfg.second_map_size))
+        with mock.patch.object(msam.model, "conv1d_forward_batch",
+                               wraps=msam.model.conv1d_forward_batch) as fwd, \
+             mock.patch.object(msam.model, "conv1d_backward_batch",
+                               wraps=msam.model.conv1d_backward_batch) as bwd:
+            model.loss_and_grads(buffer, centers, np.zeros(len(centers), dtype=int))
+        for spy in (fwd, bwd):
+            ndims = {}
+            for call in spy.call_args_list:
+                rows, bank = call.args[:2]
+                stream, kernel_len, window_lead = layers[id(bank)]
+                assert rows.shape[-1] == kernel_len
+                assert rows.ndim == 2 or rows.shape[:-1] == window_lead
+                ndims.setdefault(stream, set()).add(rows.ndim)
+            assert ndims == {0: {2}, 1: {2, 3}, 2: {2, 3}}
 
     def test_desk_streams_take_the_window_path(self):
         centers = 2000 + FRAME_SHIFT * np.arange(32)
@@ -563,7 +590,8 @@ class TestEvaluateFrames:
         assert not any(shares_positions(cfg) for cfg in desk)
         model = build_raw_model("multi_span", desk, 3, hidden_dims=())
         _, batches = conv_batches(model, buffer, centers, compute=False)
-        assert [conv1 for conv1, _ in batches] == [[(1024, cfg.input_span)] for cfg in desk]
+        assert [conv1 for conv1, _ in batches] == [[(1024, cfg.first_map_size, cfg.first_kernel_len)]
+                                                   for cfg in desk]
 
     def test_conv2_windows_are_convolved_in_blocks(self):
         """A chunk of 512 consecutive frames at paper geometry passes no conv2
