@@ -1,8 +1,9 @@
 """End-to-end trainable acoustic models and their exact backward passes.
 
-Three model kinds share the same classifier head:
+Three model kinds share the same classifier head; a checkpoint config
+names the kind, and a model holds none:
   * multi_span  — several projected CNN streams, concatenated
-  * single_span — one CNN stream fed to the head without projection
+  * single_span — one CNN stream with no projection, fed to the head as is
   * fbank_dnn   — log Mel-filterbank features with context stacking
 """
 
@@ -16,6 +17,7 @@ from .dataio import FRAME_SHIFT, SAMPLE_RATE
 from .errors import GeometryError, ValidationError
 from .fbank import FbankConfig, compute_fbank, stack_context
 from .network import (
+    CE_PROB_FLOOR,
     HIDDEN_DIMS,
     DnnHead,
     cross_entropy_batch,
@@ -40,6 +42,9 @@ def head_loss_and_grads(head: DnnHead, features: np.ndarray, labels: np.ndarray,
     `input_grads=False`."""
     probs, activations = head_forward_batch(head, features)
     loss = cross_entropy_batch(probs, labels)
+    # Below the loss's floor a probability becomes 0, moving its gradient by at most
+    # CE_PROB_FLOOR / B: subnormal operands slow the backward matmuls many-fold.
+    probs *= probs >= CE_PROB_FLOOR
     dlogits = probs  # the loss is taken, so probs becomes its gradient in place
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
@@ -173,6 +178,11 @@ def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, ind
     return o[index].reshape(len(index), -1), backward
 
 
+def _project(stream: Stream, o: np.ndarray) -> np.ndarray:
+    """A stream's outputs, projected if the stream has a projection."""
+    return o if stream.projection is None else o @ stream.projection.T
+
+
 def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers):
     """conv1 -> ReLU -> conv2 -> ReLU outputs of the frames centred at
     `centers` in `buffer`, shape (B, output_dim), and their backward: a
@@ -184,16 +194,17 @@ def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers):
     the window path.
     """
     span = stream.config.input_span
-    centers = np.asarray(centers)
-    tables = conv_tables(stream.config, window_starts(buffer, centers, span))
+    starts = window_starts(buffer, centers, span)
+    windows = np.lib.stride_tricks.sliding_window_view(buffer, span)
+    tables = conv_tables(stream.config, starts)
     if tables is None:
-        return window_outputs_at(stream, gather_windows(buffer, centers, span))
+        return window_outputs_at(stream, windows[starts])
     shared, *rows = tables
     o, backward = table_outputs_at(stream, buffer, *rows)
     if shared.all():
         return o, backward
-    o_lone, backward_lone = window_outputs_at(stream, gather_windows(buffer, centers[~shared], span))
-    outputs = np.empty((len(centers), o.shape[1]), dtype=o.dtype)
+    o_lone, backward_lone = window_outputs_at(stream, windows[starts[~shared]])
+    outputs = np.empty((len(starts), o.shape[1]), dtype=o.dtype)
     outputs[shared], outputs[~shared] = o, o_lone
 
     def backward_both(do):
@@ -205,8 +216,7 @@ def stream_outputs_at(stream: Stream, buffer: np.ndarray, centers):
 class RawWaveformModel:
     """CNN streams plus DNN head operating directly on waveform windows."""
 
-    def __init__(self, kind: str, streams: List[Stream], head: DnnHead):
-        self.kind = kind
+    def __init__(self, streams: List[Stream], head: DnnHead):
         self.streams = streams
         self.head = head
 
@@ -225,13 +235,10 @@ class RawWaveformModel:
             params[f"stream{i}.conv1.biases"] = stream.first_layer.biases
             params[f"stream{i}.conv2.weights"] = stream.second_layer.weights
             params[f"stream{i}.conv2.biases"] = stream.second_layer.biases
-            if self.kind == "multi_span":
+            if stream.projection is not None:
                 params[f"stream{i}.projection"] = stream.projection
         params.update(head_params(self.head))
         return params
-
-    def _project(self, stream: Stream, o: np.ndarray) -> np.ndarray:
-        return o @ stream.projection.T if self.kind == "multi_span" else o
 
     def frames(self, utterances):
         """(buffer, centers) of the utterances' frames: the samples in the
@@ -270,7 +277,7 @@ class RawWaveformModel:
             span = stream.config.input_span
             if w.shape[1] != span:
                 raise GeometryError(f"window length {w.shape[1]} != stream span {span}")
-            parts.append(self._project(stream, window_outputs_at(stream, w)[0]))
+            parts.append(_project(stream, window_outputs_at(stream, w)[0]))
         return np.concatenate(parts, axis=1)
 
     def features_at(self, buffer: np.ndarray, centers) -> np.ndarray:
@@ -279,7 +286,7 @@ class RawWaveformModel:
         each stream run by `stream_outputs_at`.  Each stream's backward is
         dropped with its call, so its tables go before the next stream
         builds its own."""
-        return np.concatenate([self._project(stream, stream_outputs_at(stream, buffer, centers)[0])
+        return np.concatenate([_project(stream, stream_outputs_at(stream, buffer, centers)[0])
                                for stream in self.streams], axis=1)
 
     def forward_batch(self, windows: Sequence[np.ndarray]):
@@ -299,21 +306,16 @@ class RawWaveformModel:
         outputs, parts = [], []
         for stream in self.streams:
             outputs.append(stream_outputs_at(stream, buffer, centers))
-            parts.append(self._project(stream, outputs[-1][0]))
+            parts.append(_project(stream, outputs[-1][0]))
         feats = np.concatenate(parts, axis=1)
+        splits = np.cumsum([p.shape[1] for p in parts[:-1]])
         del parts
         loss, grads, dfeat = head_loss_and_grads(self.head, feats, labels)
-        offset = 0
-        for i, (stream, (o, backward)) in enumerate(zip(self.streams, outputs)):
-            if self.kind == "multi_span":
-                dim = stream.config.projection_dim
-                dblock = dfeat[:, offset : offset + dim]
-                grads[f"stream{i}.projection"] = dblock.T @ o
-                do = dblock @ stream.projection
-            else:
-                dim = stream.config.output_dim
-                do = dfeat[:, offset : offset + dim]
-            offset += dim
+        dparts = np.split(dfeat, splits, axis=1)
+        for i, (stream, (o, backward), do) in enumerate(zip(self.streams, outputs, dparts)):
+            if stream.projection is not None:
+                grads[f"stream{i}.projection"] = do.T @ o
+                do = do @ stream.projection
             do *= o > 0
             (grads[f"stream{i}.conv1.weights"], grads[f"stream{i}.conv1.biases"],
              grads[f"stream{i}.conv2.weights"], grads[f"stream{i}.conv2.biases"]) = backward(
@@ -322,7 +324,7 @@ class RawWaveformModel:
 
     def to_config(self) -> dict:
         return {
-            "kind": self.kind,
+            "kind": "single_span" if self.streams[0].projection is None else "multi_span",
             "num_classes": self.num_classes,
             "sample_rate": SAMPLE_RATE,
             "streams": [asdict(s.config) for s in self.streams],
@@ -332,8 +334,6 @@ class RawWaveformModel:
 
 class FbankDnnModel:
     """Log Mel-filterbank features with context stacking, fed to a DNN head."""
-
-    kind = "fbank_dnn"
 
     def __init__(self, fbank_config: FbankConfig, head: DnnHead, context_frames: int):
         self.fbank_config = fbank_config
@@ -401,7 +401,7 @@ class FbankDnnModel:
 
     def to_config(self) -> dict:
         return {
-            "kind": self.kind,
+            "kind": "fbank_dnn",
             "num_classes": self.num_classes,
             "context_frames": self.context_frames,
             "fbank": {**asdict(self.fbank_config), **_GRID},
@@ -491,7 +491,7 @@ def model_from_params(config: dict, params: dict):
         first = KernelBank(params[name + "conv1.weights"], params[name + "conv1.biases"])
         second = KernelBank(params[name + "conv2.weights"], params[name + "conv2.biases"])
         streams.append(Stream(c, first, second, params.get(name + "projection")))
-    return RawWaveformModel(config["kind"], streams, head)
+    return RawWaveformModel(streams, head)
 
 
 def _seeded_model(config: dict, seed: int, dtype):

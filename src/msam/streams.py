@@ -76,7 +76,7 @@ def desk_scale_config(first_stride: int, first_kernel_len: int) -> StreamConfig:
 
 @dataclass
 class Stream:
-    """One trainable stream: two kernel banks and an optional projection."""
+    """One trainable stream: two kernel banks and, if multi-span, a projection."""
 
     config: StreamConfig
     first_layer: KernelBank

@@ -404,6 +404,14 @@ class TestManifest:
         with pytest.raises(FormatError, match="utterance u .*negative"):
             load_manifest(manifest, num_classes=3)
 
+    def test_label_equal_to_num_classes_rejected(self, tmp_path):
+        write_wav(tmp_path / "u.wav", Signal(np.zeros(320)))
+        (tmp_path / "u.labels").write_text("0\n3\n")
+        manifest = tmp_path / "c.tsv"
+        manifest.write_text("u.wav\tu.labels\tm0\n")
+        with pytest.raises(FormatError, match="utterance u has label >= 3"):
+            load_manifest(manifest, num_classes=3)
+
 
 # Line and token mutations of a manifest or label file.
 _LINE_OPS = line_ops([

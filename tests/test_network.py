@@ -199,6 +199,21 @@ class TestModelBackward:
         _, grads = model.loss_and_grads(buffer, centers, np.array([0]))
         assert max(float(np.max(np.abs(g))) for g in grads.values()) < 1e-12
 
+    def test_saturated_head_gradients_hold_no_subnormal(self, rng):
+        """Classes 90-100 nats behind get subnormal float32 probabilities,
+        and subnormal operands slow a matmul by orders of magnitude.  Below
+        CE_PROB_FLOOR a probability enters the backward as zero, so no
+        gradient holds a subnormal value."""
+        head = seeded_head(6, (5,), 4, dtype=np.float32)
+        head.output_weight *= 0.01
+        head.output_bias[...] = [0.0, 0.0, -90.0, -100.0]
+        x = rng.uniform(0.0, 1.0, size=(8, 6)).astype(np.float32)
+        probs, _ = head_forward_batch(head, x)
+        assert np.all((probs[:, 2:] > 0) & (probs[:, 2:] < np.finfo(np.float32).tiny))
+        _, grads, dfeat = head_loss_and_grads(head, x, np.array([0, 0, 0, 0, 0, 0, 1, 1]))
+        for name, g in {**grads, "features": dfeat}.items():
+            assert not np.any((g != 0) & (np.abs(g) < np.finfo(np.float32).tiny)), name
+
     @pytest.mark.parametrize("builder", [_tiny_single_span, _tiny_multi_span,
                                          _sharing_multi_span])
     def test_finite_difference_end_to_end(self, rng, builder):
@@ -350,16 +365,20 @@ class TestCheckpoint:
         return windows, model.forward_batch(windows)
 
     def test_round_trip_bit_identical_forward(self, rng, tmp_path):
-        model = build_raw_model(
-            "multi_span", [tiny_stream_config(s) for s in (2, 3)], 4,
-            hidden_dims=(3, 3), seed=9,
-        )
-        windows, before = self._forward(model, rng)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model)
-        restored = load_checkpoint(path)
-        after = restored.forward_batch(windows)
-        np.testing.assert_array_equal(before, after)
+        """A loaded single-span model must still write "single_span", which
+        param_shapes holds to one stream and no projection tensor."""
+        for kind, spans in (("single_span", (3,)), ("multi_span", (2, 3))):
+            model = build_raw_model(
+                kind, [tiny_stream_config(s) for s in spans], 4,
+                hidden_dims=(3, 3), seed=9,
+            )
+            windows, before = self._forward(model, rng)
+            path = tmp_path / f"{kind}.ckpt"
+            save_checkpoint(path, model)
+            restored = load_checkpoint(path)
+            after = restored.forward_batch(windows)
+            np.testing.assert_array_equal(before, after)
+            assert restored.to_config() == model.to_config()
 
     def test_fbank_round_trip(self, rng, tmp_path):
         model = build_fbank_model(3, hidden_dims=(4,), seed=2)
@@ -385,6 +404,16 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, build_fbank_model(3, hidden_dims=(4,), seed=2))
         return path, bytearray(path.read_bytes())
+
+    def test_config_edited_without_its_digest_rejected(self, tmp_path):
+        """A tab for the space after the config's first comma leaves the
+        same model in the same bytes of JSON, but not the same digest."""
+        path, blob = self._saved_blob(tmp_path)
+        at = blob.index(b", ", 44)
+        blob[at + 1] = ord("\t")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="config_digest"):
+            load_checkpoint(path)
 
     def test_non_utf8_tensor_name_rejected(self, tmp_path):
         path, blob = self._saved_blob(tmp_path)

@@ -23,3 +23,17 @@ I_20^50\t20\t50\t4030\t251.88
 def test_span_table_prints_the_paper_spans(capsys):
     runpy.run_path(str(SCRIPTS / "span_table.py"))["main"]()
     assert capsys.readouterr().out == SPAN_TABLE
+
+
+def test_each_mutant_names_text_its_module_holds_once():
+    """scripts/mutants.py's campaign is too slow for tier-1; this keeps its
+    list from rotting as the modules change."""
+    package = SCRIPTS.parent / "src" / "msam"
+    script = runpy.run_path(str(SCRIPTS / "mutants.py"))
+    # The campaign deselects this test by name: every applied mutant fails it.
+    assert script["LIST_CHECK"].endswith("::test_each_mutant_names_text_its_module_holds_once")
+    mutants = script["MUTANTS"]
+    assert len(mutants) >= 12
+    for module, old, new, reason in mutants:
+        assert (package / module).read_text().count(old) == 1, (module, old)
+        assert new != old and reason, (module, old)

@@ -13,7 +13,7 @@ from msam.checkpoint import save_checkpoint
 from msam.dataio import FRAME_SHIFT, Corpus, Signal, Utterance, normalize_global, synth_corpus
 from msam.errors import ValidationError
 from msam.fbank import FbankConfig
-from msam.model import build_fbank_model, build_raw_model
+from msam.model import build_fbank_model, build_raw_model, glorot_uniform
 from msam.network import cross_entropy_batch
 from msam.streams import StreamConfig, desk_scale_config
 from msam.trainer import (
@@ -132,6 +132,11 @@ class TestNewBob:
         assert newbob_update(state, 60.05) == "stop"
         assert state.stopped
 
+    def test_ramping_improvement_exactly_at_stop_threshold_decays(self):
+        state = NewBobState(current_lr=0.1, previous_cv_accuracy=0.0, ramping=True)
+        assert newbob_update(state, 0.1) == "decay_lr"  # 0.1 - 0.0 == NEWBOB_STOP_THRESHOLD
+        assert not state.stopped and state.current_lr == 0.05
+
     def test_stop_is_absorbing_and_lr_non_increasing(self):
         state = self._state()
         lrs = [state.current_lr]
@@ -190,6 +195,21 @@ class TestPretrainTransitions:
         for before, after in zip(hidden_after_extended, model.head.hidden_weights):
             np.testing.assert_array_equal(before, after)
         np.testing.assert_array_equal(model.head.output_weight, output_after_extended)
+
+    def test_each_transition_draws_from_its_own_key(self):
+        """Transition k draws its layers from (seed, k), in insertion order."""
+        model = self._subnet_model()
+        schedule = PretrainSchedule(hidden_dim=6, seed=1)
+        in_dim = model.head.input_dim
+        pretrain_transition(model, schedule)
+        pretrain_transition(model, schedule)
+        first, second = (np.random.default_rng((schedule.seed, k)) for k in (0, 1))
+        expected = [glorot_uniform(first, (6, in_dim), np.float32),
+                    glorot_uniform(first, (6, 6), np.float32),
+                    glorot_uniform(second, (6, 6), np.float32),
+                    glorot_uniform(second, (6, 6), np.float32)]
+        for got, want in zip(model.head.hidden_weights, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_cannot_advance_past_full(self):
         model = self._subnet_model()
