@@ -49,10 +49,44 @@ MUTANTS = [
      "gradients flow through conv2 outputs the ReLU zeroed"),
     ("model.py", "sharing[1:] |= new[1:] < m1", "sharing[1:] |= new[1:] <= m1",
      "conv_tables sends frames that share nothing down the table path"),
-    ("model.py", "np.add.at(do2.reshape(-1), (k2 * index[..., None] + np.arange(k2)).reshape(-1),\n"
-                 "                  do.reshape(-1))",
-     "do2.reshape(-1)[(k2 * index[..., None] + np.arange(k2)).reshape(-1)] = do.reshape(-1)",
+    ("model.py", "do2[index[:, i]] += do[:, i]", "do2[index[:, i]] = do[:, i]",
      "the table path keeps one frame's gradient per shared conv2 window, not their sum"),
+    ("model.py", "(step % s == 0) & (step > 0)", "(step % s == 0)",
+     "a repeated frame shares its copy's table rows, so one copy's gradient is dropped"),
+    ("conv.py", "maps += bank.biases", "maps -= bank.biases",
+     "conv layers subtract their biases"),
+    ("conv.py", "grads.sum(axis=0)", "grads.mean(axis=0)",
+     "conv bias gradients are averaged over the rows, not summed"),
+    ("conv.py", "if num_samples < kernel_len:", "if num_samples <= kernel_len:",
+     "an input exactly one kernel long is rejected"),
+    ("streams.py", "starts = np.asarray(centers) - (span + 1) // 2",
+     "starts = np.asarray(centers) - span // 2",
+     "an odd span takes its extra sample from the future"),
+    ("streams.py", "starts.max() + span > len(buffer)", "starts.max() + span >= len(buffer)",
+     "a window that ends at the buffer's last sample is rejected"),
+    ("streams.py", "if m2 != self.second_map_size:", "if m2 < self.second_map_size:",
+     "a second layer with more positions than its map size is accepted"),
+    ("network.py", "probs = logits - logits.max(axis=-1, keepdims=True)",
+     "probs = logits - logits.min(axis=-1, keepdims=True)",
+     "softmax subtracts the smallest logit, so a large logit overflows"),
+    ("network.py", "dh *= activations[j + 1] > 0", "dh *= activations[j + 1] >= 0",
+     "gradients flow through hidden units the ReLU zeroed"),
+    ("network.py", "np.maximum(picked, CE_PROB_FLOOR)).mean()",
+     "np.maximum(picked, CE_PROB_FLOOR)).sum()",
+     "the loss sums over the batch instead of averaging"),
+    ("analysis.py", "np.argmax(best >= ENERGY_FRACTION * total, axis=0)",
+     "np.argmax(best > ENERGY_FRACTION * total, axis=0)",
+     "an effective length needs more than ENERGY_FRACTION of the energy, not as much"),
+    ("analysis.py", "np.argsort(peak_hz, kind=\"stable\")",
+     "np.argsort(-peak_hz, kind=\"stable\")",
+     "spectra rows are sorted by falling peak frequency"),
+    ("analysis.py", "1 << (kernels.shape[1] - 1).bit_length()",
+     "1 << kernels.shape[1].bit_length()",
+     "a kernel of a power-of-two length gets twice the FFT it needs"),
+    ("__init__.py", "_blas.set_num_threads(int(_cap))", "_blas.set_num_threads(int(_cap) + 1)",
+     "OpenBLAS runs one thread more than MSAM_THREADS once NumPy has started it"),
+    ("__init__.py", "_blas = openblas() if _cap.isdigit() else None", "_blas = None",
+     "MSAM_THREADS sets only the environment, too late for an OpenBLAS already loaded"),
     ("checkpoint.py", "if hashlib.sha256(config_json).digest() != digest:", "if False:",
      "the config digest is never checked"),
     ("checkpoint.py", "if size != end:", "if size < end:",

@@ -179,7 +179,11 @@ def synth_corpus(
     total -= total % FRAME_SHIFT
     utterances = []
     for u in range(num_utterances):
-        samples = np.zeros(total)
+        try:
+            samples = np.zeros(total)
+        except (MemoryError, ValueError) as exc:
+            raise ValidationError(f"a synth duration of {duration} s is {total} samples per "
+                                  f"utterance, which cannot be allocated ({exc})") from exc
         labels = np.zeros(total // FRAME_SHIFT, dtype=np.int64)
         pos = 0
         while pos < total:

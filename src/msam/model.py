@@ -25,7 +25,7 @@ from .network import (
     head_forward_batch,
     head_params,
 )
-from .streams import Stream, StreamConfig, gather_windows, window_starts
+from .streams import Stream, StreamConfig, window_starts
 
 # Checkpoint configs record the frame grid: raw models at the top level,
 # FBANK models inside "fbank".
@@ -56,30 +56,32 @@ def conv_tables(cfg: StreamConfig, starts: np.ndarray):
     """Which frames of windows starting at `starts` take the table path,
     and the rows it convolves for them; None if no frame does.
 
-    A frame takes the table path iff it reads a conv1 sample position that
-    another frame of the batch reads.  Each such frame saves at least one
+    Frames are ordered by phase (start mod stride), then start; a frame
+    shares with the one before it of its phase if it starts later and reads
+    a conv1 sample position that frame reads.  The frames that share with a
+    neighbour take the table path: without repeats, those that read a
+    position another frame reads.  No frame shares with its copy, so no two
+    frames read one conv2 window at one position.  Each saves at least one
     conv1 row, so the table path does fewer conv MACs than those frames'
     windows; every other frame would add all its rows to the table, and
-    takes the window path instead.  Only `starts` and the geometry are
-    read.
+    takes the window path.  Only `starts` and the geometry are read.
 
     Returns (shared, positions, offsets, index): the (B,) mask of the
     frames that take the table path; their distinct conv1 positions,
-    ordered by phase (position mod stride), then position, so a frame's
-    first_map_size positions are consecutive rows of the conv1 table and
-    its conv2 input is one slice of that table flattened; the distinct
-    conv2 windows as sorted offsets into the flat table; and each shared
-    frame's conv2 windows as rows of `offsets`, shape (shared frames,
-    second_map_size).
+    ordered by phase, then position, so a frame's first_map_size positions
+    are consecutive rows of the conv1 table and its conv2 input is one
+    slice of that table flattened; the distinct conv2 windows as sorted
+    offsets into the flat table; and each shared frame's conv2 windows as
+    rows of `offsets`, shape (shared frames, second_map_size).
     """
     s, m1, k1 = cfg.first_stride, cfg.first_map_size, cfg.first_num_kernels
     # Rows each frame adds to the table so its positions are the last m1: its
     # lattice steps past the frame before it of its phase, m1 across phases.
-    # Fewer than m1 means the two share; after a lone frame, m1 either way.
+    # Fewer than m1 means the two share; after a lone or the same frame, m1.
     order = np.lexsort((starts, starts % s))
     step = np.diff(starts[order])
     new = np.full(len(order), m1)
-    new[1:] = np.where(step % s == 0, np.minimum(step // s, m1), m1)
+    new[1:] = np.where((step % s == 0) & (step > 0), np.minimum(step // s, m1), m1)
     sharing = np.append(new[1:] < m1, False)
     sharing[1:] |= new[1:] < m1
     if not sharing.any():
@@ -89,13 +91,9 @@ def conv_tables(cfg: StreamConfig, starts: np.ndarray):
     shared[order] = True
     row0 = np.cumsum(new) - m1
     flat = k1 * row0[:, None] + cfg.second_stride * np.arange(cfg.second_map_size)
-    # np.unique by one sort: NumPy 2's hash-based unique is ~20x slower here.
-    offsets = np.sort(flat, axis=None)
-    offsets = offsets[np.concatenate(([True], offsets[1:] != offsets[:-1]))]
-    index = np.empty((len(starts), cfg.second_map_size), dtype=flat.dtype)
-    index[order] = np.searchsorted(offsets, flat)
+    offsets, index = np.unique(flat, return_inverse=True)
     positions = np.repeat(starts[order] - s * row0, new) + s * np.arange(new.sum())
-    return shared, positions, offsets, index[shared]
+    return shared, positions, offsets, index.reshape(flat.shape)[np.argsort(order)]
 
 
 def window_outputs_at(stream: Stream, windows: np.ndarray):
@@ -155,11 +153,11 @@ def table_outputs_at(stream: Stream, buffer: np.ndarray, positions, offsets, ind
     np.maximum(o, 0, out=o)
 
     def backward(do):
-        # Each distinct window's gradient is the sum over the frames that read it.
-        k2 = cfg.second_num_kernels
-        do2 = np.zeros((len(offsets), k2), dtype=do.dtype)
-        np.add.at(do2.reshape(-1), (k2 * index[..., None] + np.arange(k2)).reshape(-1),
-                  do.reshape(-1))
+        # Each distinct window's gradient is the sum over the frames that read
+        # it, one conv2 position at a time: no column of index repeats a window.
+        do2 = np.zeros((len(offsets), cfg.second_num_kernels), dtype=do.dtype)
+        for i in range(index.shape[1]):
+            do2[index[:, i]] += do[:, i]
         dw2, db2 = conv1d_backward_batch(windows2[offsets], stream.second_layer, do2)
         by_residue = np.argsort(offsets % l2, kind="stable")
         drows = do2[by_residue] @ stream.second_layer.weights
@@ -266,7 +264,8 @@ class RawWaveformModel:
     def inputs_at(self, buffer: np.ndarray, centers) -> List[np.ndarray]:
         """`forward_batch`'s input for the frames centred at `centers`: one
         window batch per stream."""
-        return [gather_windows(buffer, centers, span) for span in self.spans]
+        return [np.lib.stride_tricks.sliding_window_view(buffer, span)[
+            window_starts(buffer, centers, span)] for span in self.spans]
 
     def features_batch(self, windows: Sequence[np.ndarray]) -> np.ndarray:
         """Feature vectors for per-stream window batches, shape (B, head.input_dim):

@@ -93,10 +93,3 @@ def window_starts(buffer: np.ndarray, centers, span: int) -> np.ndarray:
         raise GeometryError(f"a window of span {span} reaches outside the buffer")
     return starts
 
-
-def gather_windows(buffer: np.ndarray, centers, span: int) -> np.ndarray:
-    """The window [c - ceil(span/2), c - ceil(span/2) + span) of `buffer`
-    for every centre c, shape (B, span), gathered from one strided view;
-    every window must lie inside `buffer`."""
-    starts = window_starts(buffer, centers, span)
-    return np.lib.stride_tricks.sliding_window_view(buffer, span)[starts]

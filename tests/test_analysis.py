@@ -139,6 +139,12 @@ class TestEffectiveKernelLength:
         kernel[0, 40] = 0.5  # 0.25 of 90.25: under 1% of the energy
         assert effective_lengths(kernel).tolist() == [10]
 
+    def test_window_of_exactly_the_energy_fraction_counts(self):
+        """Taps 3, 9, 3 hold 99 of the kernel's 100 units of energy: exactly
+        ENERGY_FRACTION, which is enough."""
+        assert ENERGY_FRACTION * 100 == 99
+        assert effective_lengths(np.array([[1.0, 0, 0, 3, 9, 3]])).tolist() == [3]
+
     def test_matches_exhaustive_scan(self, rng):
         for _ in range(100):
             bank = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 40))))

@@ -274,6 +274,18 @@ class TestTrainCommand:
         assert f"synth {field}" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    def test_synth_duration_too_large_for_memory_is_validation_error(self, tmp_path, capsys):
+        """Each utterance's samples escaped main as a MemoryError traceback
+        ("Unable to allocate 114. PiB")."""
+        out = tmp_path / "run"
+        assert main(["train", "--model", "I_15^50", "--synth",
+                     "classes=3,utterances=1,duration=1e12", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: a synth duration of 1000000000000.0 s is "
+                              "16000000000000000 samples per utterance")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_one_frame_corpus_is_validation_error(self, tmp_path, capsys):
         from msam.dataio import Signal
 

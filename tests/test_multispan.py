@@ -8,7 +8,7 @@ import msam.model
 from msam.conv import conv1d_backward_batch, output_map_size
 from msam.errors import GeometryError, ValidationError
 from msam.model import build_raw_model, window_outputs_at
-from msam.streams import StreamConfig
+from msam.streams import StreamConfig, window_starts
 
 from conftest import centered_window, tiny_stream_config
 
@@ -35,8 +35,19 @@ class TestStreamGeometry:
         assert cfg.projection_dim == 150
 
     def test_inconsistent_second_layer_rejected(self):
-        with pytest.raises(GeometryError):
-            StreamConfig(first_stride=10, first_kernel_len=50, second_map_size=12)
+        """The second layer yields 11 positions; a map size above or below is wrong."""
+        for size in (10, 12):
+            with pytest.raises(GeometryError):
+                StreamConfig(first_stride=10, first_kernel_len=50, second_map_size=size)
+
+    def test_windows_may_touch_either_end_of_the_buffer(self):
+        """Span-5 windows [c - 3, c + 2) from sample 0 and to the buffer's last
+        sample are inside it; one sample further out either way is not."""
+        buffer = np.zeros(10)
+        assert window_starts(buffer, [3, 8], 5).tolist() == [0, 5]
+        for center in (2, 9):
+            with pytest.raises(GeometryError, match="reaches outside the buffer"):
+                window_starts(buffer, [center], 5)
 
 
 class TestCenteredWindow:

@@ -570,8 +570,8 @@ class TestPathRule:
     @settings(max_examples=80, deadline=None)
     def test_gradients_match_window_path(self, lengths, streams, seed, batch_size):
         """In float64 every parameter gradient of the step equals the window
-        path's to 1e-12, over dense runs that cross utterances, sparse sets
-        and single frames."""
+        path's to 1e-12, over dense runs that cross utterances, sparse sets,
+        single frames and a run that holds one of its frames twice."""
         model, dataset, rng = small_dataset(lengths, streams, np.float64, seed)
         randomize_biases(model, rng)
         n = len(dataset)
@@ -579,6 +579,8 @@ class TestPathRule:
         chunks = [idxs[i : i + batch_size] for idxs in (np.arange(n), sparse)
                   for i in range(0, len(idxs), batch_size)]
         chunks.append(rng.integers(n, size=1))
+        run = np.arange(min(n, batch_size))
+        chunks.append(np.append(run, rng.choice(run)))
         for chunk in chunks:
             args = dataset.buffer, dataset.centers[chunk], dataset.labels[chunk]
             loss, grads = model.loss_and_grads(*args)
