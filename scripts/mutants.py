@@ -7,7 +7,7 @@ each mutant is applied to the copy, tier-1 runs on it with -x, and the
 module is restored.  Per mutant it prints "killed" with the first failing
 test, or "survived"; the exit status is 1 if any mutant survived.
 
-    python3 scripts/mutants.py            # every mutant, a few minutes
+    python3 scripts/mutants.py            # every mutant, ~10 minutes
 
 A mutant's old text must occur exactly once in its module;
 tests/test_scripts.py checks that without running the campaign.
@@ -97,8 +97,24 @@ MUTANTS = [
      "a WAV data chunk shorter than its header declares is accepted"),
     ("dataio.py", "if u.labels.max() >= num_classes:", "if u.labels.max() > num_classes:",
      "a label equal to num_classes is accepted"),
-    ("dataio.py", "var = pooled.sum() / len(pooled)", "var = pooled.sum() / (len(pooled) - 1)",
+    ("dataio.py", "var = m2 / n", "var = m2 / (n - 1)",
      "global normalisation divides by the unbiased variance"),
+    ("dataio.py", "m2 = m2 + m2_u + delta * delta * (n * n_u / total)", "m2 = m2 + m2_u",
+     "the global variance drops the spread between utterance means"),
+    ("dataio.py", "shift = np.float64(corpus.utterances[0].signal.samples[0])",
+     "shift = np.float64(0.0)",
+     "moments about zero keep few digits of utterance means near a large offset"),
+    ("dataio.py", "var = float(squares[meeting] / count)",
+     "var = float(squares[meeting] / (count - 1))",
+     "a meeting's variance divides by one sample fewer than it holds"),
+    ("dataio.py", "and holders[id(a)] == 1", "and holders[id(a)] >= 1",
+     "an array two utterances hold is normalised in place twice"),
+    ("dataio.py", "a.flags.writeable and a.flags.owndata", "a.flags.writeable",
+     "a view of another utterance's array is normalised in place with it"),
+    ("dataio.py", "if np.isnan(snr_db) or snr_db == -np.inf:", "if np.isnan(snr_db):",
+     "snr_db=-inf builds a noiseless corpus"),
+    ("dataio.py", "if total == 0:", "if total < 0:",
+     "a synth duration under one frame fails without naming the field"),
     ("fbank.py", "np.asarray(f, dtype=np.float64) / 700.0", "np.asarray(f, dtype=np.float64) / 800.0",
      "the Mel scale's corner frequency is wrong in one direction only"),
     ("fbank.py", "centers.max() + half >= len(rows)", "centers.max() + half > len(rows)",

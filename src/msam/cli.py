@@ -224,6 +224,7 @@ def load_run_config(args, require_model: bool = True) -> RunConfig:
 
 
 def prepare_corpus(run: RunConfig) -> Corpus:
+    """The run's corpus, normalised in place: nothing else holds it."""
     if run.synth is not None:
         corpus = synth_corpus(**run.synth)
     else:

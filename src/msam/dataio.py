@@ -5,6 +5,7 @@ substitute for real speech data, and the writer of every output file."""
 import os
 import re
 import wave
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,61 +91,96 @@ def load_wav(path) -> Signal:
     return Signal(samples)
 
 
+def _moments(samples, shift) -> Tuple[int, np.float64, np.float64]:
+    """An utterance's sample count, and the float64 mean and sum of squared
+    deviations of its samples less `shift`, from NumPy's pairwise sums over
+    one float64 array changed in place."""
+    deviations = np.subtract(samples, shift, dtype=np.float64)
+    mean = deviations.mean()
+    deviations -= mean
+    np.multiply(deviations, deviations, out=deviations)
+    return len(samples), mean, deviations.sum()
+
+
+def _normalized(corpus: Corpus, shifts, scales, normalization: dict) -> Corpus:
+    """The corpus with each utterance's samples `(x - shift) / scale`, by
+    `x -= shift` then `x /= scale`, under `normalization`.
+
+    A writeable float64 array that owns its memory and that no other
+    utterance holds is changed in place.  Every other utterance gets a copy,
+    and all copies are made before any array changes, since an array changed
+    in place may be the base of another utterance's view.
+    """
+    arrays = [u.signal.samples for u in corpus.utterances]
+    holders = Counter(map(id, arrays))
+    in_place = [a.dtype == np.float64 and a.flags.writeable and a.flags.owndata
+                and holders[id(a)] == 1 for a in arrays]
+    arrays = [a if own else np.subtract(a, shift) for a, own, shift in zip(arrays, in_place, shifts)]
+    for a, own, shift, scale in zip(arrays, in_place, shifts, scales):
+        if own:
+            a -= shift
+        a /= scale
+    utterances = [Utterance(u.id, Signal(a), u.labels, u.meeting_id)
+                  for u, a in zip(corpus.utterances, arrays)]
+    return Corpus(utterances, corpus.num_classes, normalization)
+
+
 def normalize_global(corpus: Corpus) -> Corpus:
     """Zero mean and unit variance pooled over all samples of all utterances.
 
-    The pooled copy is the one copy staged beside the input: its deviations
-    are squared in place, which are `pooled.var()`'s own operations, and it
-    is dropped before the normalised utterances are built.
+    One pass takes each utterance's moments and merges them in utterance
+    order (Chan, Golub & LeVeque, "Updating formulae and a pairwise
+    algorithm for computing sample variances", 1979); then each utterance
+    is normalised, in place where `_normalized` allows.  The input's arrays
+    may be changed: the caller gives the corpus up.
     """
-    pooled = np.concatenate([u.signal.samples for u in corpus.utterances])
-    mean = pooled.mean()
-    # In place, unless integer samples need a float array.
-    pooled = np.subtract(pooled, mean, out=pooled if pooled.dtype == mean.dtype else None)
-    np.multiply(pooled, pooled, out=pooled)
-    var = pooled.sum() / len(pooled)
-    del pooled
+    # Moments about one of the corpus's samples: utterance means near a large
+    # offset would keep few digits of the differences the merge weighs.
+    shift = np.float64(corpus.utterances[0].signal.samples[0])
+    n, mean, m2 = 0, 0.0, 0.0
+    for u in corpus.utterances:
+        n_u, mean_u, m2_u = _moments(u.signal.samples, shift)
+        total = n + n_u
+        delta = mean_u - mean
+        mean = mean + delta * (n_u / total)
+        m2 = m2 + m2_u + delta * delta * (n * n_u / total)
+        n = total
+    mean = shift + mean
+    var = m2 / n
     if var <= 0:
         raise DegenerateInputError("corpus has zero sample variance")
     std = np.sqrt(var)
-    utterances = [
-        Utterance(u.id, Signal((u.signal.samples - mean) / std), u.labels, u.meeting_id)
-        for u in corpus.utterances
-    ]
-    return Corpus(utterances, corpus.num_classes,
-                  {"scheme": "global", "mean": float(mean), "variance": float(var)})
+    count = len(corpus.utterances)
+    return _normalized(corpus, [mean] * count, [std] * count,
+                       {"scheme": "global", "mean": float(mean), "variance": float(var)})
 
 
 def normalize_utterance_meeting(corpus: Corpus) -> Corpus:
     """Per-utterance zero mean, then per-meeting unit pooled variance.
 
-    One meeting's centred samples are staged at a time, in one array squared
-    in place; each utterance is centred again as it is normalised.
+    One pass takes each utterance's moments; a meeting's variance is its
+    utterances' summed squared deviations over their summed counts, meetings
+    in order of first appearance.  Then each utterance is normalised, in
+    place where `_normalized` allows.  The input's arrays may be changed:
+    the caller gives the corpus up.
     """
     for u in corpus.utterances:
         if u.meeting_id is None:
             raise FormatError(f"meeting_id: missing for utterance {u.id}")
+    moments = [_moments(u.signal.samples, 0.0) for u in corpus.utterances]
+    counts, squares = {}, {}
+    for u, (n_u, _, m2_u) in zip(corpus.utterances, moments):
+        counts[u.meeting_id] = counts.get(u.meeting_id, 0) + n_u
+        squares[u.meeting_id] = squares.get(u.meeting_id, 0.0) + m2_u
     meeting_var = {}
-    for meeting in {u.meeting_id for u in corpus.utterances}:
-        members = [u.signal.samples for u in corpus.utterances if u.meeting_id == meeting]
-        pooled = np.empty(sum(len(s) for s in members), dtype=np.result_type(1.0, *{s.dtype for s in members}))
-        start = 0
-        for s in members:
-            np.subtract(s, s.mean(), out=pooled[start : start + len(s)])
-            start += len(s)
-        np.multiply(pooled, pooled, out=pooled)
-        var = float(np.mean(pooled))
-        del pooled
+    for meeting, count in counts.items():
+        var = float(squares[meeting] / count)
         if var <= 0:
             raise DegenerateInputError(f"meeting {meeting} has zero variance")
         meeting_var[meeting] = var
-    utterances = [
-        Utterance(u.id, Signal((u.signal.samples - u.signal.samples.mean())
-                               / np.sqrt(meeting_var[u.meeting_id])), u.labels, u.meeting_id)
-        for u in corpus.utterances
-    ]
-    return Corpus(utterances, corpus.num_classes,
-                  {"scheme": "utterance_meeting", "meeting_variances": meeting_var})
+    return _normalized(corpus, [mean_u for _, mean_u, _ in moments],
+                       [np.sqrt(meeting_var[u.meeting_id]) for u in corpus.utterances],
+                       {"scheme": "utterance_meeting", "meeting_variances": meeting_var})
 
 
 def class_frequency_triplet(class_index: int) -> Tuple[float, float, float]:
@@ -172,11 +208,15 @@ def synth_corpus(
         raise ValueError("num_classes, num_utterances and duration must be positive")
     if not np.isfinite(duration):
         raise ValidationError(f"synth duration must be finite seconds, got {duration}")
-    if np.isnan(snr_db):
-        raise ValidationError("synth snr_db is NaN; snr_db=inf means no noise")
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValidationError(f"synth snr_db must be a number of dB, or inf for no noise; "
+                              f"got {snr_db}")
     rng = np.random.default_rng(seed)
     total = int(round(duration * SAMPLE_RATE))
     total -= total % FRAME_SHIFT
+    if total == 0:
+        raise ValidationError(f"synth duration of {duration} s is shorter than one "
+                              f"{FRAME_SHIFT}-sample frame")
     utterances = []
     for u in range(num_utterances):
         try:

@@ -264,14 +264,25 @@ class TestTrainCommand:
         ("classes=3,utterances=1,duration=inf", "duration"),
         ("classes=3,utterances=1,duration=nan", "duration"),
         ("classes=3,utterances=1,duration=0.5,snr_db=nan", "snr_db"),
+        ("classes=3,utterances=2,duration=1,snr_db=-inf", "snr_db"),
     ])
     def test_non_finite_synth_spec_is_validation_error(self, tmp_path, capsys, synth, field):
-        """An infinite duration overflowed in synth_corpus with a traceback, and
-        a NaN snr_db silently meant no noise (only snr_db=inf means that)."""
+        """An infinite duration overflowed in synth_corpus with a traceback,
+        and a NaN or -inf snr_db silently meant no noise (only snr_db=inf
+        means that)."""
         out = tmp_path / "run"
         assert main(["train", "--model", "I_15^50", "--synth", synth,
                      "--out", str(out)]) == EXIT_VALIDATION
         assert f"synth {field}" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
+    def test_synth_duration_under_one_frame_is_validation_error(self, tmp_path, capsys):
+        """A duration shorter than one 160-sample frame failed as an empty
+        Signal ("samples must be a non-empty 1-D array"), naming no field."""
+        out = tmp_path / "run"
+        assert main(["train", "--model", "I_15^50", "--synth",
+                     "classes=3,utterances=1,duration=0.005", "--out", str(out)]) == EXIT_VALIDATION
+        assert "synth duration" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
     def test_synth_duration_too_large_for_memory_is_validation_error(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msam.cli import RunConfig, prepare_corpus
 from msam.dataio import (
     Corpus,
     Signal,
@@ -124,17 +125,97 @@ def _toy_corpus():
     return Corpus([u1, u2], 2)
 
 
+def _copied(corpus):
+    """`corpus` with copies of its samples: normalisation may change its
+    input's arrays in place."""
+    return Corpus([Utterance(u.id, Signal(u.signal.samples.copy()), u.labels, u.meeting_id)
+                   for u in corpus.utterances], corpus.num_classes)
+
+
 @pytest.mark.parametrize("normalize", [normalize_global, normalize_utterance_meeting])
 def test_normalization_stages_one_copy(normalize):
-    """Normalisation peaks at no more than the corpus plus two utterances,
-    its result included, and leaves its input as it was."""
+    """Normalisation traces at most two utterances beside its input, its
+    result included, because the result holds the input's own arrays (the
+    pooled copy and a normalised corpus made it 2x the corpus before)."""
     corpus = synth_corpus(3, 16, 1.0, seed=4)
-    before = [u.signal.samples.copy() for u in corpus.utterances]
-    _, peak = traced_peak(lambda: normalize(corpus))
-    utterance_bytes = corpus.utterances[0].signal.samples.nbytes
-    assert peak <= (len(corpus.utterances) + 2) * utterance_bytes
-    for samples, u in zip(before, corpus.utterances):
-        np.testing.assert_array_equal(u.signal.samples, samples)
+    arrays = [u.signal.samples for u in corpus.utterances]
+    normalized, peak = traced_peak(lambda: normalize(corpus))
+    assert peak <= 2 * arrays[0].nbytes
+    for samples, u in zip(arrays, normalized.utterances):
+        assert u.signal.samples is samples
+
+
+@pytest.mark.parametrize("normalization", ["global", "utterance_meeting"])
+def test_preparing_a_manifest_corpus_traces_two_utterances_beside_it(tmp_path, rng,
+                                                                    normalization):
+    """`msam train`'s corpus preparation, from WAV files: the float64 corpus
+    and at most two utterances more (twice the corpus before)."""
+    lines = []
+    for i in range(4):
+        write_wav(tmp_path / f"u{i}.wav", Signal(rng.uniform(-0.5, 0.5, size=16000)))
+        (tmp_path / f"u{i}.labels").write_text("0\n" * 100)
+        lines.append(f"u{i}.wav\tu{i}.labels\tm{i % 2}")
+    (tmp_path / "c.tsv").write_text("\n".join(lines) + "\n")
+    run = RunConfig(model=None, corpus_path=str(tmp_path / "c.tsv"), normalization=normalization)
+    corpus, peak = traced_peak(lambda: prepare_corpus(run))
+    assert corpus.normalization["scheme"] == normalization
+    assert peak <= (4 + 2) * 16000 * 8
+
+
+def _offset_corpus(rng):
+    """Samples near 1e4 with a spread of 1e-2, unequal utterance means and
+    lengths from one frame to 1e5 samples, in two meetings: a variance taken
+    as a mean square less a squared mean loses every digit here."""
+    lengths = [160, 100_000, 1_600, 37_003, 480]
+    return Corpus([Utterance(f"u{i}", Signal(1e4 + 0.01 * i + rng.normal(0.0, 1e-2, size=n)),
+                             np.zeros(n // 160), f"m{i % 2}")
+                   for i, n in enumerate(lengths)], 1)
+
+
+def test_statistics_match_the_concatenation(rng):
+    """Merged per-utterance moments give np.mean and np.var of the samples
+    concatenated, for each scheme, to 1e-12 relative."""
+    corpus = _offset_corpus(rng)
+    pooled = np.concatenate([u.signal.samples for u in corpus.utterances])
+    by_meeting = {m: np.concatenate([u.signal.samples - u.signal.samples.mean()
+                                     for u in corpus.utterances if u.meeting_id == m])
+                  for m in ("m0", "m1")}
+    stats = normalize_global(_copied(corpus)).normalization
+    np.testing.assert_allclose(stats["mean"], np.mean(pooled), rtol=1e-12)
+    np.testing.assert_allclose(stats["variance"], np.var(pooled), rtol=1e-12)
+    variances = normalize_utterance_meeting(corpus).normalization["meeting_variances"]
+    assert list(variances) == ["m0", "m1"]
+    for meeting, centred in by_meeting.items():
+        np.testing.assert_allclose(variances[meeting], np.var(centred), rtol=1e-12)
+
+
+@pytest.mark.parametrize("normalize", [normalize_global, normalize_utterance_meeting])
+def test_each_utterance_normalised_once_from_its_original(normalize, rng):
+    """A Signal listed twice (in two meetings), int16 samples, a read-only
+    array and a view of another utterance's array each get a normalised
+    copy of their untouched samples; only arrays held once, writeable,
+    float64 and owning their memory are normalised in place."""
+    shared = Signal(rng.normal(1.0, 2.0, size=480))
+    read_only = rng.normal(size=480)
+    read_only.flags.writeable = False
+    owner = rng.normal(-1.0, 0.5, size=960)
+    signals = [shared, shared, Signal(rng.integers(-3, 4, size=480).astype(np.int16)),
+               Signal(read_only), Signal(owner), Signal(owner[:480]),
+               Signal(rng.normal(size=320))]
+    corpus = Corpus([Utterance(f"u{i}", s, np.zeros(len(s) // 160), f"m{i % 2}")
+                     for i, s in enumerate(signals)], 1)
+    originals = [s.samples.copy() for s in signals]
+    inputs = [s.samples for s in signals]
+    normalized = normalize(corpus)
+    stats = normalized.normalization
+    for i, (u, raw) in enumerate(zip(normalized.utterances, originals)):
+        if stats["scheme"] == "global":
+            expected = (raw - stats["mean"]) / np.sqrt(stats["variance"])
+        else:
+            expected = (raw - raw.mean()) / np.sqrt(stats["meeting_variances"][u.meeting_id])
+        np.testing.assert_array_equal(u.signal.samples, expected)
+        assert (u.signal.samples is inputs[i]) == (i in (4, 6)), i
+    np.testing.assert_array_equal(read_only, originals[3])
 
 
 class TestNormalizeGlobal:
@@ -156,7 +237,7 @@ class TestNormalizeGlobal:
         corpus = _toy_corpus()
         pooled = np.concatenate([u.signal.samples for u in corpus.utterances])
         mean, std = pooled.mean(), pooled.std()
-        normalized = normalize_global(corpus)
+        normalized = normalize_global(_copied(corpus))
         np.testing.assert_allclose(
             normalized.utterances[0].signal.samples,
             (corpus.utterances[0].signal.samples - mean) / std,
@@ -172,7 +253,7 @@ class TestNormalizeGlobal:
             [Utterance("u", Signal(rng.normal(size=480)), np.zeros(3), "m0")], 1
         )
         once = normalize_global(corpus)
-        twice = normalize_global(once)
+        twice = normalize_global(_copied(once))
         np.testing.assert_allclose(
             once.utterances[0].signal.samples,
             twice.utterances[0].signal.samples,
@@ -210,7 +291,7 @@ class TestNormalizeUtteranceMeeting:
 
     def test_matches_hand_computation(self):
         corpus = _toy_corpus()
-        normalized = normalize_utterance_meeting(corpus)
+        normalized = normalize_utterance_meeting(_copied(corpus))
         raw = corpus.utterances[0].signal.samples
         centered = raw - raw.mean()
         expected = centered / np.sqrt(np.mean(centered**2))
